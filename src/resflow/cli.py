@@ -311,6 +311,9 @@ def cmd_infer(config: RunConfig, workspace, out_name="infer", event_log=None, wo
     for scene_id, problems in sorted(result.failures.items()):
         for p in problems:
             print(f"warning: scene {scene_id}: {p}", file=sys.stderr)
+    if not result.masks:
+        print(f"pipeline error: no scene of {len(scenes)} produced a mask", file=sys.stderr)
+        return EXIT_PIPELINE
     print(f"wrote {len(result.masks)} masks and metrics.json to {out_dir}")
     return EXIT_OK
 

@@ -44,6 +44,12 @@ def extract_features(tile: Tile, config: FeatureConfig = FeatureConfig()) -> np.
     Per band: mean, std, normalized intensity histogram, and the mean absolute
     finite difference pooled over the horizontal and vertical directions
     (gradient energy). Byte-identical tiles give byte-identical vectors.
+
+    u8 tiles with 8 bins take an integer path for the histogram (``px >> 5``
+    counted by ``bincount``) and the gradient energy (int16 differences summed
+    in int64). Every count and partial sum there is an integer below 2**53, so
+    the float path would compute the same sums exactly and the output is
+    identical; mean and std always take the float path.
     """
     px = tile.pixels
     if px.size == 0:
@@ -53,6 +59,7 @@ def extract_features(tile: Tile, config: FeatureConfig = FeatureConfig()) -> np.
     need = bands * config.per_band()
     if need > config.dim:
         raise ClusterError(f"descriptor needs {need} slots, config.dim is {config.dim}")
+    integer_path = px.dtype == np.uint8 and config.hist_bins == 8
     vec = np.zeros(config.dim, dtype=np.float64)
     at = 0
     data = px.astype(np.float64)
@@ -60,12 +67,21 @@ def extract_features(tile: Tile, config: FeatureConfig = FeatureConfig()) -> np.
         band = data[:, :, b]
         vec[at] = band.mean()
         vec[at + 1] = band.std()
-        counts, _ = np.histogram(band, bins=config.hist_bins, range=(0.0, full))
-        vec[at + 2 : at + 2 + config.hist_bins] = counts / band.size
-        dh = np.abs(np.diff(band, axis=1))
-        dv = np.abs(np.diff(band, axis=0))
-        npairs = dh.size + dv.size
-        vec[at + 2 + config.hist_bins] = (dh.sum() + dv.sum()) / npairs if npairs else 0.0
+        hist = slice(at + 2, at + 2 + config.hist_bins)
+        if integer_path:
+            ints = px[:, :, b]
+            vec[hist] = np.bincount((ints >> 5).ravel(), minlength=8) / band.size
+            ints = ints.astype(np.int16)
+            grad = int(np.abs(np.diff(ints, axis=1)).sum(dtype=np.int64))
+            grad += int(np.abs(np.diff(ints, axis=0)).sum(dtype=np.int64))
+        else:
+            counts, _ = np.histogram(band, bins=config.hist_bins, range=(0.0, full))
+            vec[hist] = counts / band.size
+            dh = np.abs(np.diff(band, axis=1))
+            dv = np.abs(np.diff(band, axis=0))
+            grad = dh.sum() + dv.sum()
+        npairs = (px.shape[1] - 1) * px.shape[0] + (px.shape[0] - 1) * px.shape[1]
+        vec[at + 2 + config.hist_bins] = float(grad) / npairs if npairs else 0.0
         at += config.per_band()
     return vec
 

@@ -187,11 +187,9 @@ class PipelineAssets:
     model_gallery: ModelGallery
     image_gallery: ImageGallery | None = None
     feature_config: FeatureConfig = field(default_factory=FeatureConfig)
-    model_loader: object = None
 
     def load_bucket_model(self, record) -> BucketModel:
-        loader = self.model_loader or (lambda rec: load_model(rec.artifact_path))
-        return loader(record)
+        return load_model(record.artifact_path)
 
 
 @dataclass

@@ -276,19 +276,24 @@ class CentroidTable:
 
     @classmethod
     def load(cls, path) -> "CentroidTable":
-        with open(path, "r", encoding="ascii") as f:
-            header = f.readline().split()
-            if len(header) != 2 or header[0] != CENTROID_HEADER or not header[1].startswith("n_bits="):
-                raise HashError(f"malformed centroid table header in {path}")
-            width = int(header[1].split("=", 1)[1])
-            codes = {}
-            for line in f:
-                parts = line.split()
-                if not parts:
-                    continue
-                if len(parts) != 2:
-                    raise HashError(f"malformed centroid line in {path}: {line!r}")
-                codes[int(parts[0])] = BinaryCode.from_hex(parts[1], width)
+        try:
+            with open(path, "r", encoding="ascii") as f:
+                header = f.readline().split()
+                if len(header) != 2 or header[0] != CENTROID_HEADER or not header[1].startswith("n_bits="):
+                    raise HashError(f"malformed centroid table header in {path}")
+                width = int(header[1].split("=", 1)[1])
+                codes = {}
+                for line in f:
+                    parts = line.split()
+                    if not parts:
+                        continue
+                    if len(parts) != 2:
+                        raise HashError(f"malformed centroid line in {path}: {line!r}")
+                    codes[int(parts[0])] = BinaryCode.from_hex(parts[1], width)
+        except HashError:
+            raise
+        except ValueError as e:  # a token int() rejects, or a non-ascii byte
+            raise HashError(f"malformed centroid table {path}: {e}") from None
         return cls(codes=codes)
 
 
@@ -384,6 +389,8 @@ def load_hash(path) -> HashFunction:
     raw = Path(path).read_bytes()
     if raw[:4] != HASH_MAGIC:
         raise HashError(f"bad hash file magic in {path}")
+    if len(raw) < 12:
+        raise HashError(f"hash file {path} is {len(raw)} bytes, shorter than its 12-byte header")
     n_bits, dim = struct.unpack("<II", raw[4:12])
     need = 12 + 8 * n_bits * dim + 8 * n_bits
     if len(raw) != need:

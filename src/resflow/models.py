@@ -53,11 +53,17 @@ def pixel_features(pixels: np.ndarray) -> np.ndarray:
     if pixels.ndim == 2:
         pixels = pixels[:, :, None]
     h, w, bands = pixels.shape
-    data = pixels.astype(np.float64)
-    cols = [data[:, :, b].ravel() for b in range(bands)]
+    out = np.empty((h * w, 2 * bands), dtype=np.float64)
+    out[:, :bands] = pixels.reshape(h * w, bands)
     for b in range(bands):
-        cols.append(uniform_filter(data[:, :, b], size=3, mode="nearest").ravel())
-    return np.stack(cols, axis=1)
+        # Filter each band column straight into its local-mean column.
+        uniform_filter(
+            out[:, b].reshape(h, w),
+            size=3,
+            mode="nearest",
+            output=out[:, bands + b].reshape(h, w),
+        )
+    return out
 
 
 def logistic_loss_grad(weights: np.ndarray, bias: float, X: np.ndarray, y: np.ndarray):
@@ -83,8 +89,12 @@ class LinearPixelModel:
     bands: int
 
     def decision(self, X: np.ndarray) -> np.ndarray:
-        Xs = (X - self.mu) / self.sigma
-        return Xs @ self.weights + self.bias
+        """Linear score per row of X; X itself is left unchanged."""
+        Xs = X - self.mu
+        Xs /= self.sigma
+        scores = Xs @ self.weights
+        scores += self.bias
+        return scores
 
     def infer(self, tile: Tile) -> Mask:
         if tile.bands != self.bands:
@@ -101,8 +111,13 @@ def train_bucket_model(
     """Fit the logistic pixel classifier on (tile, truth mask) pairs.
 
     Full-batch gradient descent from zero weights for a fixed epoch count,
-    with features standardized by the training statistics; mean-based updates
-    make a duplicated training set fit the same parameters.
+    with features standardized in place by the training statistics;
+    mean-based updates make a duplicated training set fit the same parameters.
+
+    Each epoch is the loss-free form of a ``logistic_loss_grad`` step: the
+    same ufuncs and matrix products in the same order, run in one reused
+    n-length buffer, so the fitted parameters match that reference loop bit
+    for bit.
     """
     if not samples:
         raise ModelError("no training samples")
@@ -122,11 +137,23 @@ def train_bucket_model(
     mu = X.mean(axis=0)
     sigma = X.std(axis=0)
     sigma[sigma == 0] = 1.0
-    Xs = (X - mu) / sigma
+    X -= mu
+    X /= sigma
+    n = len(y)
     w = np.zeros(X.shape[1])
     b = 0.0
+    r = np.empty(n)
     for _ in range(hyper.epochs):
-        _, gw, gb = logistic_loss_grad(w, b, Xs, y)
+        # r = sigmoid(X @ w + b) - y
+        np.matmul(X, w, out=r)
+        r += b
+        np.negative(r, out=r)
+        np.exp(r, out=r)
+        r += 1.0
+        np.divide(1.0, r, out=r)
+        r -= y
+        gw = X.T @ r / n
+        gb = float(r.mean())
         w -= hyper.learning_rate * gw
         b -= hyper.learning_rate * gb
     return LinearPixelModel(weights=w, bias=b, mu=mu, sigma=sigma, bands=bands)

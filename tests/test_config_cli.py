@@ -176,6 +176,53 @@ class TestInferCommand:
         assert report.ok and report.checkouts > 0
 
 
+SMALL_WS = ["--set", "scenes=1", "--set", "scene_px=512", "--set", "tile_px=128",
+            "--set", "k=6", "--set", "distributions=6"]
+
+
+def small_cli(command, ws, seed=5):
+    return main([command, "-w", str(ws), *SMALL_WS, "--set", f"seed={seed}"])
+
+
+@pytest.fixture
+def small_partitioned(tmp_path):
+    ws = tmp_path / "small"
+    assert small_cli("synth", ws) == 0
+    assert small_cli("partition", ws) == 0
+    return ws
+
+
+class TestInferFailures:
+    def test_no_mask_after_repartition_is_4(self, small_partitioned, capsys):
+        ws = small_partitioned
+        assert small_cli("train", ws) == 0
+        assert small_cli("partition", ws, seed=6) == 0
+        capsys.readouterr()
+        assert small_cli("infer", ws, seed=6) == 4
+        err = capsys.readouterr().err
+        assert "model gap" in err
+        assert "no scene of 1 produced a mask" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "name, content",
+        [
+            ("hash.hsh1", b"HSH1\0\0"),
+            ("hash.hsh1", b""),
+            ("centroids.txt", b"CTAB1 n_bits=abc\n0 0f\n"),
+            ("centroids.txt", b"CTAB1 n_bits=8\nzero 0f\n"),
+            ("centroids.txt", b"CTAB1 n_bits=8\n0 0g\n"),
+            ("centroids.txt", b"CTAB1 n_bits=8\n0 \xff\n"),
+        ],
+    )
+    def test_broken_partition_file_is_4(self, small_partitioned, capsys, name, content):
+        (small_partitioned / "partition" / name).write_bytes(content)
+        capsys.readouterr()
+        assert small_cli("infer", small_partitioned) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("pipeline error:") and "Traceback" not in err
+
+
 class TestBenchCommand:
     def test_csv_shape_and_arithmetic(self, tmp_path):
         ws = tmp_path / "ws"

@@ -62,6 +62,85 @@ class TestFeatures:
             extract_features(tile, FeatureConfig(dim=8))
 
 
+_REF_FULL_SCALE = {"uint8": 256.0, "uint16": 65536.0, "float32": 1.0, "float64": 1.0}
+
+
+def reference_features(tile, config=FeatureConfig()):
+    """The all-float descriptor that extract_features must reproduce for every dtype."""
+    px = tile.pixels
+    full = _REF_FULL_SCALE.get(px.dtype.name, 1.0)
+    vec = np.zeros(config.dim, dtype=np.float64)
+    at = 0
+    data = px.astype(np.float64)
+    for b in range(px.shape[2]):
+        band = data[:, :, b]
+        vec[at] = band.mean()
+        vec[at + 1] = band.std()
+        counts, _ = np.histogram(band, bins=config.hist_bins, range=(0.0, full))
+        vec[at + 2 : at + 2 + config.hist_bins] = counts / band.size
+        dh = np.abs(np.diff(band, axis=1))
+        dv = np.abs(np.diff(band, axis=0))
+        npairs = dh.size + dv.size
+        vec[at + 2 + config.hist_bins] = (dh.sum() + dv.sum()) / npairs if npairs else 0.0
+        at += config.per_band()
+    return vec
+
+
+def random_u8_tiles(count, seed):
+    """Random u8 tiles, with edge shapes, constant tiles and the bin-edge values mixed in."""
+    rng = np.random.default_rng(seed)
+    edges = np.array([0, 31, 32, 255], dtype=np.uint8)
+    shapes = [(1, 1), (1, 17), (17, 1), (1, 2), (2, 1)]
+    for i in range(count):
+        h, w = shapes[i] if i < len(shapes) else tuple(int(v) for v in rng.integers(1, 48, 2))
+        bands = (1, 3, 4)[i % 3]
+        kind = i % 4
+        if kind == 0:
+            px = rng.integers(0, 256, size=(h, w, bands), dtype=np.uint8)
+        elif kind == 1:
+            px = rng.choice(edges, size=(h, w, bands))
+        elif kind == 2:
+            px = np.full((h, w, bands), rng.choice(edges if i % 8 == 2 else np.arange(256)), np.uint8)
+        else:
+            px = rng.integers(0, 256, size=(h, w, bands), dtype=np.uint8)
+            px[rng.random((h, w, bands)) < 0.5] = rng.choice(edges)
+        yield make_tile(px)
+
+
+class TestFeatureExactness:
+    def test_u8_integer_path_matches_float_path(self):
+        n = 0
+        for tile in random_u8_tiles(1200, seed=31):
+            assert extract_features(tile).tobytes() == reference_features(tile).tobytes(), (
+                tile.pixels.shape
+            )
+            n += 1
+        assert n == 1200
+
+    def test_256_px_tiles(self):
+        rng = np.random.default_rng(32)
+        for _ in range(4):
+            tile = make_tile(rng.integers(0, 256, size=(256, 256, 3), dtype=np.uint8))
+            assert extract_features(tile).tobytes() == reference_features(tile).tobytes()
+
+    def test_u16_and_f32_keep_float_path(self):
+        rng = np.random.default_rng(33)
+        for i in range(200):
+            h, w = (int(v) for v in rng.integers(1, 30, 2))
+            if i % 2:
+                px = rng.integers(0, 65536, size=(h, w, 3), dtype=np.uint16)
+            else:
+                px = rng.random((h, w, 3)).astype(np.float32)
+            tile = make_tile(px)
+            assert extract_features(tile).tobytes() == reference_features(tile).tobytes()
+
+    def test_other_bin_counts_keep_float_path(self):
+        config = FeatureConfig(dim=80, hist_bins=16)
+        for tile in random_u8_tiles(50, seed=34):
+            got = extract_features(tile, config)
+            assert got.tobytes() == reference_features(tile, config).tobytes()
+
+
 class TestFitClusters:
     def test_k1(self):
         points, _ = make_blobs(3, 20, seed=1)

@@ -203,6 +203,14 @@ class TestCentroids:
         back = CentroidTable.load(tmp_path / "c.txt")
         assert back.codes == table.codes
 
+    @pytest.mark.parametrize(
+        "text", ["CTAB1 n_bits=x8\n0 03\n", "CTAB1 n_bits=8\nb0 03\n", "CTAB1 n_bits=8\n0 0x-\n"]
+    )
+    def test_table_non_integer_tokens(self, tmp_path, text):
+        (tmp_path / "c.txt").write_text(text)
+        with pytest.raises(HashError, match="malformed centroid table"):
+            CentroidTable.load(tmp_path / "c.txt")
+
 
 class TestAssign:
     def test_exact_match(self):
@@ -287,4 +295,9 @@ class TestHashIO:
     def test_bad_magic(self, tmp_path):
         (tmp_path / "h.hsh1").write_bytes(b"NOPE1234")
         with pytest.raises(HashError):
+            load_hash(tmp_path / "h.hsh1")
+
+    def test_short_header(self, tmp_path):
+        (tmp_path / "h.hsh1").write_bytes(b"HSH1\0\0")
+        with pytest.raises(HashError, match="12-byte header"):
             load_hash(tmp_path / "h.hsh1")

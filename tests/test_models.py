@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.ndimage import uniform_filter
 
 from resflow.models import (
     LinearPixelModel,
@@ -79,6 +80,97 @@ class TestTraining:
         lo, _, _ = logistic_loss_grad(w, b - step, X, y)
         hi, _, _ = logistic_loss_grad(w, b + step, X, y)
         assert abs((hi - lo) / (2 * step) - gb) <= 1e-4
+
+
+def reference_pixel_features(pixels):
+    """The list-and-stack feature matrix that pixel_features must reproduce."""
+    if pixels.ndim == 2:
+        pixels = pixels[:, :, None]
+    h, w, bands = pixels.shape
+    data = pixels.astype(np.float64)
+    cols = [data[:, :, b].ravel() for b in range(bands)]
+    for b in range(bands):
+        cols.append(uniform_filter(data[:, :, b], size=3, mode="nearest").ravel())
+    return np.stack(cols, axis=1)
+
+
+def reference_decision(model, X):
+    Xs = (X - model.mu) / model.sigma
+    return Xs @ model.weights + model.bias
+
+
+def reference_train(samples, hyper=TrainConfig()):
+    """Gradient descent through logistic_loss_grad, the loop train_bucket_model replaces."""
+    X = np.concatenate([reference_pixel_features(tile.pixels) for tile, _ in samples])
+    y = np.concatenate([(truth.labels.ravel() != 0).astype(np.float64) for _, truth in samples])
+    mu = X.mean(axis=0)
+    sigma = X.std(axis=0)
+    sigma[sigma == 0] = 1.0
+    Xs = (X - mu) / sigma
+    w = np.zeros(X.shape[1])
+    b = 0.0
+    for _ in range(hyper.epochs):
+        _, gw, gb = logistic_loss_grad(w, b, Xs, y)
+        w -= hyper.learning_rate * gw
+        b -= hyper.learning_rate * gb
+    return w, b, mu, sigma
+
+
+def one_pixel_samples():
+    rng = np.random.default_rng(21)
+    samples = []
+    for i in range(12):
+        value = rng.integers(0, 256, size=(1, 1, 3), dtype=np.uint8)
+        samples.append((make_tile(value), make_mask([[i % 2]])))
+    return samples
+
+
+def one_band_samples():
+    rng = np.random.default_rng(22)
+    truth = (rng.random((9, 31)) < 0.4).astype(np.uint8)
+    pixels = np.where(truth == 1, 170, 90) + rng.integers(-20, 21, size=truth.shape)
+    return [(make_tile(pixels.astype(np.uint8)), make_mask(truth))]
+
+
+EXACT_SETS = {
+    "separable": lambda: separable_samples(),
+    "duplicated": lambda: separable_samples(n_tiles=3, seed=1) * 2,
+    "one_pixel_tiles": one_pixel_samples,
+    "one_pixel_mixed": lambda: separable_samples(n_tiles=2, size=5, seed=23) + one_pixel_samples()[:4],
+    "one_band": one_band_samples,
+}
+
+
+class TestExactness:
+    @pytest.mark.parametrize("name", sorted(EXACT_SETS))
+    def test_training_matches_reference_loop(self, name):
+        samples = EXACT_SETS[name]()
+        for hyper in (TrainConfig(), TrainConfig(epochs=7, learning_rate=0.5)):
+            model = train_bucket_model(samples, hyper)
+            w, b, mu, sigma = reference_train(samples, hyper)
+            assert np.array_equal(model.weights, w)
+            assert model.bias == b
+            assert np.array_equal(model.mu, mu) and np.array_equal(model.sigma, sigma)
+
+    def test_pixel_features_and_decision_match_reference(self):
+        rng = np.random.default_rng(24)
+        model = train_bucket_model(separable_samples(seed=25))
+        shapes = [(1, 1, 3), (1, 9, 3), (9, 1, 3), (2, 2, 3), (17, 23, 3), (64, 64, 3)]
+        for h, w, bands in shapes:
+            for dtype in (np.uint8, np.uint16, np.float32):
+                if dtype is np.float32:
+                    pixels = rng.random((h, w, bands)).astype(dtype) * 255
+                else:
+                    pixels = rng.integers(0, 256, size=(h, w, bands)).astype(dtype)
+                X = pixel_features(pixels)
+                assert X.flags.c_contiguous
+                assert X.tobytes() == reference_pixel_features(pixels).tobytes()
+                before = X.copy()
+                scores = model.decision(X)
+                assert np.array_equal(X, before), "decision mutated its argument"
+                assert scores.tobytes() == reference_decision(model, X).tobytes()
+        flat = rng.integers(0, 256, size=(5, 7), dtype=np.uint8)
+        assert pixel_features(flat).tobytes() == reference_pixel_features(flat).tobytes()
 
 
 class TestInference:
