@@ -3,14 +3,16 @@
 
     python3 tests/artifact_digest.py --src src --workload coarse_heldout --seed 15
 
-The run mirrors the benchmark's workload shapes: ``synth`` a build and a
-held-out workspace, ``partition`` and ``train`` on the build, copy its
-``partition/`` and ``models/`` next to the held-out scenes, then ``infer``
-there at workers 1 and 2. It prints one ``sha256 name`` line per artifact
-(the build's ``partition/`` files, every ``.lpm1``, and every mask and bucket
-sidecar of both ``infer`` runs) and ends with ``digest <hex>`` over all of
-them. Give ``--src`` the ``src`` directory of two checkouts to compare them;
-shape flags such as ``--build-px`` override the named workload.
+The run takes its workload shapes, class count, ground sample distance and
+held-out seed offset from ``perfbench/run.py`` and builds its configs the way
+that script does: ``synth`` a build and a held-out workspace, ``partition``
+and ``train`` on the build, copy its ``partition/`` and ``models/`` next to
+the held-out scenes, then ``infer`` there at workers 1 and 2. It prints one
+``sha256 name`` line per artifact (the build's ``partition/`` files, every
+``.lpm1``, and every mask and bucket sidecar of both ``infer`` runs) and ends
+with ``digest <hex>`` over all of them. Give ``--src`` the ``src`` directory
+of two checkouts to compare them. The extra ``tiny`` workload (128-px tiles,
+512-px scenes) is a run of a few seconds.
 """
 
 from __future__ import annotations
@@ -18,33 +20,28 @@ from __future__ import annotations
 import argparse
 import contextlib
 import hashlib
+import importlib.util
 import io
 import os
 import shutil
 import sys
 import tempfile
-from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
-CLASSES = 6
-HELDOUT_SEED_OFFSET = 7919
+
+def _load_perfbench():
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "run.py"
+    spec = importlib.util.spec_from_file_location("perfbench_run", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module
 
 
-@dataclass(frozen=True)
-class Shape:
-    tile_px: int
-    k_min: int
-    k_max: int
-    build_px: int
-    heldout_px: int
-    devices: int
-    tickets_per_device: int
-
-
+bench = _load_perfbench()
 WORKLOADS = {
-    "coarse_heldout": Shape(256, CLASSES, CLASSES, 1024, 2048, 4, 2),
-    "fine_heldout": Shape(32, 2, 10, 1024, 1024, 4, 2),
-    "shared_device_heldout": Shape(256, CLASSES, CLASSES, 1024, 2048, 1, 1),
+    **bench.WORKLOADS,
+    "tiny": bench.Workload(128, bench.CLASSES, bench.CLASSES, 512, 1, 512, 4, 2, 1),
 }
 
 
@@ -56,20 +53,22 @@ def _run(fn, *args, **kwargs) -> None:
         raise SystemExit(f"{fn.__name__} exited {rc}:\n{sink.getvalue()}")
 
 
-def artifact_digests(shape: Shape, seed: int, work_dir: Path) -> list[tuple[str, str]]:
+def artifact_digests(name: str, seed: int, work_dir: Path) -> list[tuple[str, str]]:
     """(sha256, relative name) for every artifact of one run, in name order."""
     from resflow import cli
     from resflow.config import RunConfig
 
-    def config(px, cfg_seed):
+    wl = WORKLOADS[name]
+
+    def config(scenes, px, cfg_seed):
         return RunConfig(
-            tile_px=shape.tile_px, k=0, k_min=shape.k_min, k_max=shape.k_max, scenes=1,
-            scene_px=px, distributions=CLASSES, gsd_m=0.5, seed=cfg_seed,
-            devices=shape.devices, tickets_per_device=shape.tickets_per_device,
+            tile_px=wl.tile_px, k=0, k_min=wl.k_min, k_max=wl.k_max, scenes=scenes,
+            scene_px=px, distributions=bench.CLASSES, gsd_m=bench.GSD_M, seed=cfg_seed,
+            devices=wl.devices, tickets_per_device=wl.tickets_per_device,
         ).validate()
 
-    build_cfg = config(shape.build_px, seed)
-    held_cfg = config(shape.heldout_px, seed + HELDOUT_SEED_OFFSET)
+    build_cfg = config(1, wl.build_px, seed)
+    held_cfg = config(wl.heldout_scenes, wl.heldout_px, seed + bench.HELDOUT_SEED_OFFSET)
     here = os.getcwd()
     os.chdir(work_dir)  # relative workspace paths keep the gallery bytes run-independent
     try:
@@ -104,8 +103,6 @@ def main(argv=None) -> int:
     parser.add_argument("--src", required=True, help="directory holding the resflow package")
     parser.add_argument("--workload", choices=sorted(WORKLOADS), default="coarse_heldout")
     parser.add_argument("--seed", type=int, required=True)
-    for name in asdict(WORKLOADS["coarse_heldout"]):
-        parser.add_argument(f"--{name.replace('_', '-')}", type=int, dest=name)
     args = parser.parse_args(argv)
 
     src = Path(args.src).resolve()
@@ -113,10 +110,8 @@ def main(argv=None) -> int:
         print(f"no resflow package under {src}", file=sys.stderr)
         return 2
     sys.path.insert(0, str(src))
-    overrides = {k: v for k, v in vars(args).items() if k in asdict(WORKLOADS[args.workload]) and v is not None}
-    shape = replace(WORKLOADS[args.workload], **overrides)
     with tempfile.TemporaryDirectory(prefix="resflow-digest-") as tmp:
-        entries = artifact_digests(shape, args.seed, Path(tmp))
+        entries = artifact_digests(args.workload, args.seed, Path(tmp))
     for digest, name in entries:
         print(f"{digest}  {name}")
     print(f"digest {combined_digest(entries)}")

@@ -3,13 +3,12 @@ import sys
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
-TINY = ["--tile-px", "128", "--build-px", "512", "--heldout-px", "512"]
 
 
 def run_digest(seed):
     out = subprocess.run(
         [sys.executable, str(HERE / "artifact_digest.py"), "--src", str(HERE.parent / "src"),
-         "--seed", str(seed), *TINY],
+         "--seed", str(seed), "--workload", "tiny"],
         check=True, capture_output=True, text=True,
     ).stdout.splitlines()
     return out[:-1], out[-1]
