@@ -35,6 +35,7 @@ from .executor import (
     ExecutorConfig,
     PipelineAssets,
     PipelineError,
+    SimulatedDevice,
     make_virtual_scenes,
     run_pipeline,
 )
@@ -58,7 +59,6 @@ from .hashing import (
 from .models import (
     ModelError,
     TrainConfig,
-    load_model,
     save_model,
     seg_metrics,
     train_bucket_model,
@@ -99,12 +99,13 @@ def _ws_paths(workspace) -> dict[str, Path]:
     }
 
 
-def _cost_model(config: RunConfig) -> DeviceCostModel:
-    return DeviceCostModel(
+def _simulated_device(config: RunConfig) -> SimulatedDevice:
+    cost_model = DeviceCostModel(
         base_ms=config.cost_base_ms,
         ms_per_megapixel=config.cost_ms_per_megapixel,
         io_ms_per_megabyte=config.cost_io_ms_per_megabyte,
     )
+    return SimulatedDevice(cost_model, config.distributions, config.tile_px, config.overlap_px)
 
 
 def _executor_config(config: RunConfig, pool: DevicePool, workers: int | None = None) -> ExecutorConfig:
@@ -114,12 +115,9 @@ def _executor_config(config: RunConfig, pool: DevicePool, workers: int | None = 
         batch=config.batch,
         tile_px=config.tile_px,
         overlap_px=config.overlap_px,
-        simulate=config.simulate,
-        cost_model=_cost_model(config),
         task=config.task,
         scheduler_seed=config.seed,
         ticket_timeout_s=config.ticket_timeout_s,
-        sim_buckets=max(config.distributions, 1),
     )
 
 
@@ -337,30 +335,28 @@ def cmd_bench(config: RunConfig, workspace, workers_list, scene_counts, out_path
         raise ConfigError("bench sweep must list at least one workers and scenes value")
     paths = _ws_paths(workspace)
     out_path = Path(out_path) if out_path else paths["root"] / "bench.csv"
-    assets = None
-    all_scenes = None
-    if not config.simulate:
-        catalog = SceneCatalog.from_manifest(paths["manifest"])
-        all_scenes = list(catalog)
+    if config.simulate:
+        device = _simulated_device(config)
+        all_scenes = make_virtual_scenes(
+            max(scene_counts), config.scene_px, config.scene_px, gsd_m=config.gsd_m
+        )
+    else:
+        all_scenes = list(SceneCatalog.from_manifest(paths["manifest"]))
         table = CentroidTable.load(paths["centroids"])
-        assets = PipelineAssets(
+        device = PipelineAssets(
             hash_fn=load_hash(paths["hash"]),
             centroids=table,
             model_gallery=ModelGallery(paths["model_gallery"], table),
-            image_gallery=None,
             feature_config=FeatureConfig(dim=config.feature_dim),
         )
     rows = []
     for n_scenes in scene_counts:
-        if config.simulate:
-            scenes = make_virtual_scenes(n_scenes, config.scene_px, config.scene_px, gsd_m=config.gsd_m)
-        else:
-            if n_scenes > len(all_scenes):
-                raise ConfigError(f"manifest has {len(all_scenes)} scenes, sweep asks for {n_scenes}")
-            scenes = all_scenes[:n_scenes]
+        if n_scenes > len(all_scenes):
+            raise ConfigError(f"manifest has {len(all_scenes)} scenes, sweep asks for {n_scenes}")
+        scenes = all_scenes[:n_scenes]
         for workers in workers_list:
             pool = DevicePool(config.devices, config.tickets_per_device)
-            result = run_pipeline(scenes, _executor_config(config, pool, workers), assets)
+            result = run_pipeline(scenes, _executor_config(config, pool, workers), device)
             m = result.metrics.finalize(config.baseline_s_per_scene)
             rows.append(
                 {

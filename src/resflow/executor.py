@@ -1,4 +1,4 @@
-"""Three-stage pipeline over a fixed worker pool with ticketed device access.
+"""Three-stage pipeline over a fixed worker pool, run against a device.
 
 Stage layout per scene: (A) window read, descriptor, hash encode, bucket
 assignment, gallery insert; (B) per-bucket batched inference on a second
@@ -8,26 +8,36 @@ after all its tiles finish B; the engine runs A, B, C as barriered phases,
 which satisfies both constraints and keeps the read ledger exactly at two
 passes per scene.
 
+The device is the only thing that differs between a real run and a
+cost-model run. It offers four calls, which the stages make without branching:
+
+    embed(scene, ext, ledger) -> (code, bucket)
+    model(bucket, task) -> model, or ModelGapError
+    label(model, scene, ext, ledger) -> Mask
+    merge_pause(scene)
+
+plus an ``image_gallery`` that stage A indexes its tiles into, or None.
+``PipelineAssets`` is the real device: it reads windows, describes, hashes
+and labels them with the fitted artifacts. ``SimulatedDevice`` does no pixel
+work: it records the same ledger reads and sleeps as long as a device cost
+model says, which is what the scaling-shape checks exercise.
+
 Workers hold a device ticket for the duration of any stage-A or stage-B
 batch. Results are collected as immutable values and reassembled in plan
 order, so masks and gallery contents do not depend on worker count or
 schedule; ``workers=1`` is the fully serial determinism oracle.
-
-Simulate mode replaces pixel work with a device cost model (sleeps sized by
-tile area and window bytes) while keeping the scheduling, ticketing, ledger
-accounting, and merge paths real, which is what the scaling-shape checks
-exercise.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
-import queue
 import random
 import threading
 import time
-from dataclasses import dataclass, field
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -104,25 +114,8 @@ class RunMetrics:
         self.images_per_s = self.tiles / self.wall_s
         return self
 
-    def to_json_dict(self) -> dict:
-        return {
-            "wall_s": self.wall_s,
-            "stage_a_s": self.stage_a_s,
-            "stage_b_s": self.stage_b_s,
-            "stage_c_s": self.stage_c_s,
-            "scenes": self.scenes,
-            "tiles": self.tiles,
-            "bytes_read": self.bytes_read,
-            "reads_per_scene": self.reads_per_scene,
-            "area_sqkm": self.area_sqkm,
-            "speedup": self.speedup,
-            "sqkm_per_s": self.sqkm_per_s,
-            "gb_per_s": self.gb_per_s,
-            "images_per_s": self.images_per_s,
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
+        return json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"
 
 
 def compute_speedup(metrics: RunMetrics, baseline_s_per_scene: float) -> float:
@@ -164,12 +157,9 @@ class ExecutorConfig:
     batch: int = 12
     tile_px: int = 500
     overlap_px: int = 0
-    simulate: bool = False
-    cost_model: DeviceCostModel = field(default_factory=DeviceCostModel)
     task: str = "building"
     scheduler_seed: int = 0
     ticket_timeout_s: float = 30.0
-    sim_buckets: int = 6
 
     def __post_init__(self):
         if self.workers < 1:
@@ -180,7 +170,12 @@ class ExecutorConfig:
 
 @dataclass
 class PipelineAssets:
-    """Fitted artifacts the real-mode pipeline runs against."""
+    """Fitted artifacts: the device of a real run.
+
+    Its calls resolve ``read_window``, ``extract_features``, ``encode``,
+    ``assign_bucket`` and ``load_model`` through this module's globals, so a
+    tracer that replaces those names here sees every call.
+    """
 
     hash_fn: HashFunction
     centroids: CentroidTable
@@ -188,8 +183,74 @@ class PipelineAssets:
     image_gallery: ImageGallery | None = None
     feature_config: FeatureConfig = field(default_factory=FeatureConfig)
 
-    def load_bucket_model(self, record) -> BucketModel:
+    def embed(self, scene: SceneRef, ext: TileExtent, ledger: ReadLedger) -> tuple[BinaryCode, int]:
+        tile = read_window(scene, ext, ledger, STAGE_EMBED)
+        code = encode(self.hash_fn, extract_features(tile, self.feature_config))
+        return code, assign_bucket(code, self.centroids)
+
+    def model(self, bucket: int, task: str) -> BucketModel:
+        record = self.model_gallery.lookup(self.centroids.codes[bucket], task)
         return load_model(record.artifact_path)
+
+    def label(self, model: BucketModel, scene: SceneRef, ext: TileExtent, ledger: ReadLedger) -> Mask:
+        return model.infer(read_window(scene, ext, ledger, STAGE_INFER))
+
+    def merge_pause(self, scene: SceneRef) -> None:
+        pass
+
+
+class SimulatedDevice:
+    """A device that does no pixel work and takes as long as a cost model says.
+
+    Each tile records its window read in the ledger and sleeps for the cost
+    model's tile cost; a tile's bucket is its row-major position in the tile
+    plan modulo ``buckets``, and every label is all zeros. Merging a scene
+    costs one service pass over its full area. Platform timers overshoot short
+    sleeps, so each thread carries the time it still owes (negative after an
+    overshoot) into its next sleep; a worker's total then matches the cost
+    model instead of drifting by one overshoot per tile.
+    """
+
+    image_gallery = None
+
+    def __init__(self, cost_model: DeviceCostModel, buckets: int, tile_px: int, overlap_px: int = 0):
+        self.cost_model = cost_model
+        self.buckets = buckets
+        self.tile_px = tile_px
+        self.overlap_px = overlap_px
+        self._plans: dict[str, dict[TileExtent, int]] = {}
+        self._owed = threading.local()
+
+    def _pause(self, seconds: float) -> None:
+        owed = getattr(self._owed, "s", 0.0) + seconds
+        if owed > 0:
+            t0 = time.perf_counter()
+            time.sleep(owed)
+            owed -= time.perf_counter() - t0
+        self._owed.s = owed
+
+    def _read(self, scene: SceneRef, ext: TileExtent, ledger: ReadLedger, stage: str) -> None:
+        itemsize = DTYPES[scene.dtype].itemsize
+        ledger.record(scene.scene_id, stage, ext.w * ext.h * scene.bands * itemsize)
+        self._pause(self.cost_model.tile_cost_s(ext, scene.bands, itemsize))
+
+    def embed(self, scene: SceneRef, ext: TileExtent, ledger: ReadLedger) -> tuple[None, int]:
+        self._read(scene, ext, ledger, STAGE_EMBED)
+        plan = self._plans.get(scene.scene_id)
+        if plan is None:  # threads racing here build equal plans
+            extents = tile_extents(scene, self.tile_px, self.overlap_px)
+            plan = self._plans[scene.scene_id] = {e: j for j, e in enumerate(extents)}
+        return None, plan[ext] % self.buckets
+
+    def model(self, bucket: int, task: str) -> None:
+        return None
+
+    def label(self, model: None, scene: SceneRef, ext: TileExtent, ledger: ReadLedger) -> Mask:
+        self._read(scene, ext, ledger, STAGE_INFER)
+        return Mask(w=ext.w, h=ext.h, labels=np.zeros((ext.h, ext.w), dtype=np.uint8))
+
+    def merge_pause(self, scene: SceneRef) -> None:
+        self._pause(self.cost_model.service_s(scene.width_px, scene.height_px))
 
 
 @dataclass
@@ -199,96 +260,59 @@ class RunOutput:
     failures: dict[str, list[str]] = field(default_factory=dict)
 
 
-def _run_tasks(tasks, workers: int, fn):
-    """Run fn(worker_id, payload) over tasks on a fixed thread pool.
-
-    Results return in task order regardless of schedule; the first worker
-    error aborts the remaining tasks and is re-raised.
-    """
-    if not tasks:
-        return []
-    q: queue.Queue = queue.Queue()
-    for item in enumerate(tasks):
-        q.put(item)
-    results = [None] * len(tasks)
-    errors: list[BaseException] = []
-    abort = threading.Event()
-
-    def loop(worker_id: int):
-        while True:
-            try:
-                i, payload = q.get_nowait()
-            except queue.Empty:
-                return
-            if abort.is_set():
-                continue
-            try:
-                results[i] = fn(worker_id, payload)
-            except BaseException as e:  # noqa: BLE001 - propagated to driver
-                errors.append(e)
-                abort.set()
-
-    threads = [
-        threading.Thread(target=loop, args=(w,), name=f"worker-{w}", daemon=True)
-        for w in range(workers)
-    ]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    if errors:
-        raise errors[0]
-    return results
-
-
 def _chunks(seq, size):
     return [seq[i : i + size] for i in range(0, len(seq), size)]
 
 
-class _SimPacer:
-    """Per-worker simulated-time pacing.
+def _map_tasks(tasks, workers: int, fn) -> list:
+    """Run fn(worker_id, task) over tasks on a pool of threads numbered 0..workers-1.
 
-    Platform timers overshoot short sleeps; tracking the cumulative owed
-    time per worker keeps each worker's total simulated duration at the
-    cost model's intent instead of drifting by one overshoot per tile.
+    Results return in task order regardless of schedule. The first error is
+    re-raised once running tasks finish, and every task not yet started by
+    then is skipped: ``map`` alone cancels only the futures still queued when
+    the caller reaches the failed one, and a worker can start the next first.
     """
+    worker_ids = itertools.count()
+    worker = threading.local()
+    failed = threading.Event()
 
-    def __init__(self):
-        self._owed: dict[int, float] = {}
+    def name_worker():
+        worker.id = next(worker_ids)
 
-    def sleep(self, worker_id: int, seconds: float) -> None:
-        owed = self._owed.get(worker_id, 0.0) + seconds
-        if owed > 0:
-            t0 = time.perf_counter()
-            time.sleep(owed)
-            owed -= time.perf_counter() - t0
-        self._owed[worker_id] = owed
+    def run(task):
+        if failed.is_set():
+            return None
+        try:
+            return fn(worker.id, task)
+        except BaseException:
+            failed.set()
+            raise
+
+    with ThreadPoolExecutor(workers, thread_name_prefix="worker", initializer=name_worker) as pool:
+        return list(pool.map(run, tasks))
 
 
 def run_pipeline(
     scenes: list[SceneRef],
     config: ExecutorConfig,
-    assets: PipelineAssets | None = None,
+    device,
     ledger: ReadLedger | None = None,
 ) -> RunOutput:
-    """Execute embed+assign, per-bucket inference, and per-scene merge.
+    """Execute embed+assign, per-bucket inference, and per-scene merge on ``device``.
 
-    Real mode needs fitted assets (hash, centroids, a model per bucket for
-    the configured task); a missing bucket model fails only that bucket's
-    tiles and is reported per scene. Simulate mode needs none of them.
+    ``device`` is ``PipelineAssets`` for a real run or ``SimulatedDevice``
+    for a cost-model run. A bucket whose model lookup raises ``ModelGapError``
+    fails only that bucket's tiles; every scene it touches is reported in
+    ``failures`` and left unmerged. Any other error stops the run: tasks not
+    yet started are dropped, running ones finish and return their tickets,
+    and the error is re-raised.
     """
     if not scenes:
         raise PipelineError("no scenes to run")
-    if not config.simulate and assets is None:
-        raise PipelineError("real-mode run requires pipeline assets")
     ledger = ledger if ledger is not None else ReadLedger()
     pool = config.pool
     rng = random.Random(config.scheduler_seed)
-    pacer = _SimPacer()
     plans = [tile_extents(scene, config.tile_px, config.overlap_px) for scene in scenes]
-    tile_index = {
-        (si, ext): j for si, plan in enumerate(plans) for j, ext in enumerate(plan)
-    }
     metrics = RunMetrics(
         scenes=len(scenes),
         tiles=sum(len(p) for p in plans),
@@ -305,33 +329,17 @@ def run_pipeline(
 
     def do_stage_a(worker_id: int, payload):
         si, chunk = payload
-        scene = scenes[si]
-        itemsize = DTYPES[scene.dtype].itemsize
         ticket = pool.checkout(worker_id, timeout=config.ticket_timeout_s)
         try:
-            out = []
-            for ext in chunk:
-                if config.simulate:
-                    nbytes = ext.w * ext.h * scene.bands * itemsize
-                    ledger.record(scene.scene_id, STAGE_EMBED, nbytes)
-                    pacer.sleep(worker_id, config.cost_model.tile_cost_s(ext, scene.bands, itemsize))
-                    code = None
-                    bucket = tile_index[(si, ext)] % config.sim_buckets
-                else:
-                    tile = read_window(scene, ext, ledger, STAGE_EMBED)
-                    emb = extract_features(tile, assets.feature_config)
-                    code = encode(assets.hash_fn, emb)
-                    bucket = assign_bucket(code, assets.centroids)
-                out.append((si, ext, code, bucket))
-            return out
+            return [(si, ext, *device.embed(scenes[si], ext, ledger)) for ext in chunk]
         finally:
             pool.return_ticket(ticket)
 
-    a_results = [item for batch in _run_tasks(a_tasks, config.workers, do_stage_a) for item in batch]
+    a_results = [item for batch in _map_tasks(a_tasks, config.workers, do_stage_a) for item in batch]
     a_results.sort(key=lambda r: (r[0], r[1].y0, r[1].x0))
-    if not config.simulate and assets.image_gallery is not None:
+    if device.image_gallery is not None:
         for si, ext, code, bucket in a_results:
-            assets.image_gallery.insert(
+            device.image_gallery.insert(
                 GalleryRecord(
                     code=code,
                     bucket_id=bucket,
@@ -351,28 +359,21 @@ def run_pipeline(
     failures: dict[str, list[str]] = {}
     models: dict[int, BucketModel] = {}
     failed_scenes: set[int] = set()
-    if not config.simulate:
-        for (si, bucket) in sorted(by_scene_bucket):
-            if bucket in models:
-                continue
-            centroid = dict(assets.centroids.items())[bucket]
-            try:
-                record = assets.model_gallery.lookup(centroid, config.task)
-            except ModelGapError as e:
-                models[bucket] = None
-                for (sj, bj), exts in sorted(by_scene_bucket.items()):
-                    if bj != bucket:
-                        continue
-                    failed_scenes.add(sj)
-                    failures.setdefault(scenes[sj].scene_id, []).append(
-                        f"{e} ({len(exts)} tiles skipped)"
-                    )
-                continue
-            models[bucket] = assets.load_bucket_model(record)
+    for bucket in dict.fromkeys(b for _si, b in sorted(by_scene_bucket)):
+        try:
+            models[bucket] = device.model(bucket, config.task)
+        except ModelGapError as e:
+            for (sj, bj), exts in sorted(by_scene_bucket.items()):
+                if bj != bucket:
+                    continue
+                failed_scenes.add(sj)
+                failures.setdefault(scenes[sj].scene_id, []).append(
+                    f"{e} ({len(exts)} tiles skipped)"
+                )
 
     b_tasks = []
     for (si, bucket), exts in sorted(by_scene_bucket.items()):
-        if not config.simulate and models.get(bucket) is None:
+        if bucket not in models:
             continue
         for chunk in _chunks(exts, config.batch):
             b_tasks.append((si, bucket, chunk))
@@ -381,26 +382,18 @@ def run_pipeline(
     def do_stage_b(worker_id: int, payload):
         si, bucket, chunk = payload
         scene = scenes[si]
-        itemsize = DTYPES[scene.dtype].itemsize
         ticket = pool.checkout(worker_id, timeout=config.ticket_timeout_s)
         try:
             out = []
             for ext in chunk:
-                if config.simulate:
-                    nbytes = ext.w * ext.h * scene.bands * itemsize
-                    ledger.record(scene.scene_id, STAGE_INFER, nbytes)
-                    pacer.sleep(worker_id, config.cost_model.tile_cost_s(ext, scene.bands, itemsize))
-                    mask = Mask(w=ext.w, h=ext.h, labels=np.zeros((ext.h, ext.w), dtype=np.uint8))
-                else:
-                    tile = read_window(scene, ext, ledger, STAGE_INFER)
-                    mask = models[bucket].infer(tile)
+                mask = device.label(models[bucket], scene, ext, ledger)
                 mask.provenance[ext] = bucket
                 out.append((scene.scene_id, ext, mask))
             return out
         finally:
             pool.return_ticket(ticket)
 
-    b_results = [item for batch in _run_tasks(b_tasks, config.workers, do_stage_b) for item in batch]
+    b_results = [item for batch in _map_tasks(b_tasks, config.workers, do_stage_b) for item in batch]
     t_b = time.perf_counter()
     metrics.stage_b_s = t_b - t_a
 
@@ -413,13 +406,11 @@ def run_pipeline(
 
     def do_stage_c(worker_id: int, scene: SceneRef):
         labeled = grouped[scene.scene_id]
-        if config.simulate:
-            # Reconstruction cost: one service pass over the full scene area.
-            pacer.sleep(worker_id, config.cost_model.service_s(scene.width_px, scene.height_px))
+        device.merge_pause(scene)
         mask = merge_tiles(scene.scene_id, labeled, width=scene.width_px, height=scene.height_px)
         return scene.scene_id, mask
 
-    masks = dict(_run_tasks(merge_order, config.workers, do_stage_c))
+    masks = dict(_map_tasks(merge_order, config.workers, do_stage_c))
     t_c = time.perf_counter()
     metrics.stage_c_s = t_c - t_b
     metrics.wall_s = t_c - t_start
@@ -441,7 +432,7 @@ def make_virtual_scenes(
     dtype: str = "u8",
     gsd_m: float = 0.5,
 ) -> list[SceneRef]:
-    """Descriptor-only scenes for simulate-mode runs; never read from disk."""
+    """Descriptor-only scenes for ``SimulatedDevice`` runs; never read from disk."""
     return [
         SceneRef(
             scene_id=f"sim{i:03d}",
@@ -465,12 +456,12 @@ def predicted_wall_s(
     overlap_px: int = 0,
     merge_s_per_scene: float | None = None,
 ) -> float:
-    """Analytic queue model for simulate-mode wall time.
+    """Analytic queue model for ``SimulatedDevice`` wall time.
 
     Stages A and B are a single pool-limited phase: their summed serial cost
     divided by min(workers, tickets_total). Merging is serial per scene and
     parallel across scenes up to the worker count; its default per-scene cost
-    is the cost model's full-scene service time, matching simulate-mode runs.
+    is the cost model's full-scene service time, matching ``SimulatedDevice.merge_pause``.
     """
     total = 0.0
     for scene in scenes:

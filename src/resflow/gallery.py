@@ -14,13 +14,19 @@ Model gallery:
 
     MGAL1
     centroid_hex task version artifact_path f1
+
+``storage_path`` and ``artifact_path`` are written percent-escaped, so a path
+with a space or a non-ASCII character stays one ASCII token; other tokens must
+contain no whitespace.
 """
 
 from __future__ import annotations
 
+import re
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
+from urllib.parse import quote, unquote
 
 from .hashing import BinaryCode, CentroidTable, assign_bucket, hamming
 from .raster import TileExtent
@@ -77,13 +83,22 @@ def _check_token(value: str, what: str) -> str:
     return value
 
 
+def _escape_path(path: str) -> str:
+    """Percent-escape ``%`` and every character that is not printable ASCII.
+
+    That covers whitespace and non-ASCII characters (as UTF-8 bytes); a path
+    of printable ASCII without ``%`` is written unchanged.
+    """
+    return re.sub(r"[^\x21-\x24\x26-\x7e]", lambda m: quote(m.group()), path)
+
+
 def record_to_line(record_id: int, r: GalleryRecord) -> str:
     geo = ",".join(repr(float(v)) for v in r.geo_bbox) if r.geo_bbox is not None else "-"
     acq = r.acquired_at if r.acquired_at is not None else "-"
     e = r.extent
     return (
         f"{record_id} {r.code.to_hex()} {r.bucket_id} {r.scene_id} "
-        f"{e.x0} {e.y0} {e.w} {e.h} {r.storage_path} {geo} {acq}\n"
+        f"{e.x0} {e.y0} {e.w} {e.h} {_escape_path(r.storage_path)} {geo} {acq}\n"
     )
 
 
@@ -103,7 +118,7 @@ def line_to_record(line: str, n_bits: int) -> tuple[int, GalleryRecord]:
         bucket_id=int(parts[2]),
         scene_id=parts[3],
         extent=TileExtent(parts[3], int(parts[4]), int(parts[5]), int(parts[6]), int(parts[7])),
-        storage_path=parts[8],
+        storage_path=unquote(parts[8]),
         geo_bbox=geo,
         acquired_at=None if parts[10] == "-" else parts[10],
     )
@@ -119,7 +134,6 @@ class ImageGallery:
         self.diagnostics = GalleryDiagnostics()
         self._records: list[GalleryRecord] = []
         self._by_bucket: dict[int, list[int]] = {}
-        self._by_scene: dict[str, list[int]] = {}
         self._seen: set = set()
         self._lock = threading.Lock()
         self._fh = None
@@ -151,7 +165,6 @@ class ImageGallery:
     def _index(self, rid: int, record: GalleryRecord):
         self._records.append(record)
         self._by_bucket.setdefault(record.bucket_id, []).append(rid)
-        self._by_scene.setdefault(record.scene_id, []).append(rid)
         key = record_to_line(0, record)
         if key in self._seen:
             self.diagnostics.duplicates += 1
@@ -171,7 +184,7 @@ class ImageGallery:
                     f"for code {record.code.to_hex()}"
                 )
         _check_token(record.scene_id, "scene_id")
-        _check_token(record.storage_path, "storage_path")
+        _check_token(_escape_path(record.storage_path), "storage_path")
         if record.acquired_at is not None:
             _check_token(record.acquired_at, "acquired_at")
         with self._lock:
@@ -192,9 +205,6 @@ class ImageGallery:
     def query_by_bucket(self, bucket_id: int) -> list[GalleryRecord]:
         """All records of the bucket in insertion order; unknown bucket is empty."""
         return [self._records[rid] for rid in self._by_bucket.get(bucket_id, [])]
-
-    def query_by_scene(self, scene_id: str) -> list[GalleryRecord]:
-        return [self._records[rid] for rid in self._by_scene.get(scene_id, [])]
 
     def query_radius(self, code: BinaryCode, r: int) -> list[GalleryRecord]:
         """Records within hamming distance r, ordered by (distance, record_id)."""
@@ -236,7 +246,7 @@ class ModelRecord:
 
 def model_record_to_line(r: ModelRecord) -> str:
     f1 = float(r.train_stats.get("f1", 0.0))
-    return f"{r.bucket_code.to_hex()} {r.task} {r.version} {r.artifact_path} {f1!r}\n"
+    return f"{r.bucket_code.to_hex()} {r.task} {r.version} {_escape_path(r.artifact_path)} {f1!r}\n"
 
 
 class ModelGallery:
@@ -269,7 +279,7 @@ class ModelGallery:
                     bucket_code=BinaryCode.from_hex(parts[0], self.centroids.width),
                     task=parts[1],
                     version=int(parts[2]),
-                    artifact_path=parts[3],
+                    artifact_path=unquote(parts[3]),
                     train_stats={"f1": float(parts[4])},
                 )
                 self._by_key.setdefault((record.bucket_code.bits, record.task), []).append(record)
@@ -285,7 +295,7 @@ class ModelGallery:
                 f"centroid {record.bucket_code.to_hex()} is not in the bucket table"
             )
         _check_token(record.task, "task")
-        _check_token(record.artifact_path, "artifact_path")
+        _check_token(_escape_path(record.artifact_path), "artifact_path")
         with self._lock:
             version = self.next_version(record.bucket_code, record.task)
             stored = ModelRecord(
@@ -320,23 +330,3 @@ class ModelGallery:
 
     def __exit__(self, *exc):
         self.close()
-
-
-def insert_image_record(gallery: ImageGallery, record: GalleryRecord) -> int:
-    return gallery.insert(record)
-
-
-def query_by_bucket(gallery: ImageGallery, bucket_id: int) -> list[GalleryRecord]:
-    return gallery.query_by_bucket(bucket_id)
-
-
-def query_radius(gallery: ImageGallery, code: BinaryCode, r: int) -> list[GalleryRecord]:
-    return gallery.query_radius(code, r)
-
-
-def register_model(gallery: ModelGallery, record: ModelRecord) -> int:
-    return gallery.register(record)
-
-
-def lookup_model(gallery: ModelGallery, bucket_code: BinaryCode, task: str) -> ModelRecord:
-    return gallery.lookup(bucket_code, task)

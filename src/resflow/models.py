@@ -159,10 +159,6 @@ def train_bucket_model(
     return LinearPixelModel(weights=w, bias=b, mu=mu, sigma=sigma, bands=bands)
 
 
-def infer_tile(model: BucketModel, tile: Tile) -> Mask:
-    return model.infer(tile)
-
-
 def seg_metrics(pred: Mask, truth: Mask) -> SegMetrics:
     """Pixel counts and overlap scores; empty-vs-empty scores 1.0 by convention."""
     if (pred.w, pred.h) != (truth.w, truth.h):

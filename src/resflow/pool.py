@@ -66,7 +66,7 @@ def parse_event_line(line: str) -> PoolEvent:
 class DevicePool:
     """Bounded ticket grants per device; safe for many concurrent workers."""
 
-    def __init__(self, devices: int, tickets_per_device: int, record_events: bool = True):
+    def __init__(self, devices: int, tickets_per_device: int):
         if devices <= 0 or tickets_per_device <= 0:
             raise PoolError("devices and tickets_per_device must be positive")
         self.devices = list(range(devices))
@@ -76,7 +76,6 @@ class DevicePool:
         self._next_ticket = 0
         self._closed = False
         self._cond = threading.Condition()
-        self._record = record_events
         self.events: list[PoolEvent] = []
 
     @property
@@ -108,10 +107,9 @@ class DevicePool:
                     self._next_ticket += 1
                     self._outstanding[device].add(ticket.ticket_id)
                     self._device_of[ticket.ticket_id] = device
-                    if self._record:
-                        self.events.append(
-                            PoolEvent(time.time(), worker_id, "checkout", device, ticket.ticket_id)
-                        )
+                    self.events.append(
+                        PoolEvent(time.time(), worker_id, "checkout", device, ticket.ticket_id)
+                    )
                     return ticket
                 remaining = None if deadline is None else deadline - time.monotonic()
                 if remaining is not None and remaining <= 0:
@@ -134,10 +132,9 @@ class DevicePool:
                 )
             self._outstanding[device].remove(ticket.ticket_id)
             del self._device_of[ticket.ticket_id]
-            if self._record:
-                self.events.append(
-                    PoolEvent(time.time(), ticket.holder, "return", device, ticket.ticket_id)
-                )
+            self.events.append(
+                PoolEvent(time.time(), ticket.holder, "return", device, ticket.ticket_id)
+            )
             self._cond.notify()
 
     def close(self) -> None:

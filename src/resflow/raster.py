@@ -108,9 +108,6 @@ class TileExtent:
         if self.w <= 0 or self.h <= 0:
             raise RasterError(f"non-positive span in extent {self}")
 
-    def pixel_count(self) -> int:
-        return self.w * self.h
-
 
 @dataclass(eq=False)
 class Tile:

@@ -223,6 +223,16 @@ class TestInferFailures:
         assert err.startswith("pipeline error:") and "Traceback" not in err
 
 
+def test_workspace_path_with_space(tmp_path):
+    ws = tmp_path / "ws space é"
+    for command in ("synth", "partition", "train", "infer"):
+        assert small_cli(command, ws) == 0, command
+    assert (ws / "infer" / "scene000.mask.rsr").exists()
+    bench = ["bench", "-w", str(ws), "--workers-list", "1", "--scene-counts", "1", *SMALL_WS]
+    assert main(bench) == 0
+    assert len((ws / "bench.csv").read_text().splitlines()) == 2
+
+
 class TestBenchCommand:
     def test_csv_shape_and_arithmetic(self, tmp_path):
         ws = tmp_path / "ws"

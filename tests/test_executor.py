@@ -8,6 +8,7 @@ from resflow.executor import (
     PipelineAssets,
     PipelineError,
     RunMetrics,
+    SimulatedDevice,
     area_rate,
     compute_speedup,
     group_by_scene,
@@ -18,7 +19,7 @@ from resflow.executor import (
 from resflow.gallery import ImageGallery, ModelGallery, ModelRecord
 from resflow.hashing import bucket_centroids, encode_many, fit_hash
 from resflow.models import save_model, train_bucket_model
-from resflow.pool import DevicePool
+from resflow.pool import DevicePool, audit_events, parse_event_line
 from resflow.raster import (
     Mask,
     ReadLedger,
@@ -213,25 +214,13 @@ class TestRunPipelineReal:
         for scene in scenes:
             assert scene.scene_id in out.masks or scene.scene_id in out.failures
 
-    def test_requires_assets_in_real_mode(self):
-        scenes = make_virtual_scenes(1, 64, 64)
-        config = ExecutorConfig(pool=DevicePool(1, 1), workers=1, tile_px=32)
-        with pytest.raises(PipelineError):
-            run_pipeline(scenes, config)
-
 
 class TestRunPipelineSimulate:
     def test_metrics_and_masks(self):
         scenes = make_virtual_scenes(2, 256, 256)
-        config = ExecutorConfig(
-            pool=DevicePool(2, 2),
-            workers=4,
-            batch=2,
-            tile_px=64,
-            simulate=True,
-            cost_model=DeviceCostModel(base_ms=1.0, ms_per_megapixel=0.0),
-        )
-        out = run_pipeline(scenes, config)
+        config = ExecutorConfig(pool=DevicePool(2, 2), workers=4, batch=2, tile_px=64)
+        device = SimulatedDevice(DeviceCostModel(base_ms=1.0, ms_per_megapixel=0.0), 6, tile_px=64)
+        out = run_pipeline(scenes, config, device)
         m = out.metrics
         assert m.scenes == 2 and m.tiles == 32
         assert set(m.reads_per_scene.values()) == {2.0}
@@ -250,11 +239,9 @@ class TestRunPipelineSimulate:
                 workers=workers,
                 batch=1,
                 tile_px=100,
-                simulate=True,
-                cost_model=cost,
                 scheduler_seed=workers,
             )
-            m = run_pipeline(scenes, config).metrics
+            m = run_pipeline(scenes, config, SimulatedDevice(cost, 6, tile_px=100)).metrics
             pred = predicted_wall_s(
                 scenes, cost, tile_px=100, workers=workers, tickets_total=8
             )
@@ -263,12 +250,58 @@ class TestRunPipelineSimulate:
     def test_ticket_log_is_clean(self):
         scenes = make_virtual_scenes(3, 128, 128)
         pool = DevicePool(2, 2)
-        config = ExecutorConfig(
-            pool=pool, workers=8, batch=2, tile_px=32, simulate=True,
-            cost_model=DeviceCostModel(base_ms=0.2, ms_per_megapixel=0.0),
-        )
-        run_pipeline(scenes, config)
-        from resflow.pool import audit_events
-
+        config = ExecutorConfig(pool=pool, workers=8, batch=2, tile_px=32)
+        device = SimulatedDevice(DeviceCostModel(base_ms=0.2, ms_per_megapixel=0.0), 6, tile_px=32)
+        run_pipeline(scenes, config, device)
         report = audit_events(pool.events, tickets_per_device=2)
         assert report.ok
+
+
+class FailingDevice(SimulatedDevice):
+    """A zero-cost simulated device whose label raises on one tile."""
+
+    def __init__(self, bad: TileExtent, tile_px: int):
+        super().__init__(DeviceCostModel(base_ms=0.0, ms_per_megapixel=0.0), 6, tile_px)
+        self.bad = bad
+        self.labelled: list[TileExtent] = []
+
+    def label(self, model, scene, ext, ledger):
+        self.labelled.append(ext)
+        if ext == self.bad:
+            raise RuntimeError("label failed")
+        return super().label(model, scene, ext, ledger)
+
+
+class TestAbortOnError:
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_error_propagates_and_tickets_come_back(self, workers):
+        scenes = make_virtual_scenes(2, 128, 128)
+        device = FailingDevice(tile_extents(scenes[1], 32)[5], tile_px=32)
+        pool = DevicePool(2, 2)
+        config = ExecutorConfig(pool=pool, workers=workers, batch=1, tile_px=32)
+        with pytest.raises(RuntimeError, match="label failed"):
+            run_pipeline(scenes, config, device)
+        assert set(pool.snapshot().values()) == {0}
+        assert audit_events(pool.events, tickets_per_device=2).ok
+
+    def test_no_label_after_the_failing_one(self):
+        scenes = make_virtual_scenes(2, 128, 128)
+        bad = tile_extents(scenes[1], 32)[5]
+        device = FailingDevice(bad, tile_px=32)
+        config = ExecutorConfig(pool=DevicePool(1, 1), workers=1, batch=1, tile_px=32)
+        with pytest.raises(RuntimeError, match="label failed"):
+            run_pipeline(scenes, config, device)
+        assert device.labelled[-1] == bad
+        assert len(device.labelled) < 32  # tasks were left when it failed
+
+
+def test_event_log_worker_ids_are_pool_slots(tmp_path):
+    scenes = make_virtual_scenes(3, 128, 128)
+    pool = DevicePool(2, 2)
+    config = ExecutorConfig(pool=pool, workers=2, batch=1, tile_px=32)
+    device = SimulatedDevice(DeviceCostModel(base_ms=0.5, ms_per_megapixel=0.0), 6, tile_px=32)
+    run_pipeline(scenes, config, device)
+    log = tmp_path / "events.log"
+    pool.write_event_log(log)
+    workers = {parse_event_line(line).worker for line in log.read_text().splitlines()}
+    assert workers and workers <= {0, 1}

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -141,8 +143,30 @@ class TestImageGallery:
             with pytest.raises(GalleryError):
                 g.insert(bad)
 
+    def test_path_with_space_and_percent_round_trips(self, tmp_path, table):
+        r = replace(record_for(BinaryCode(0x0F, 8), table), storage_path="/my data/100%\tsé.rsr")
+        path = tmp_path / "g.igal"
+        with ImageGallery(path, n_bits=8, centroids=table) as g:
+            g.insert(r)
+        assert "/my%20data/100%25%09s%C3%A9.rsr" in path.read_text()
+        with ImageGallery(path, centroids=table) as g:
+            assert g.record(0) == r
+
+    def test_ordinary_path_bytes_unchanged(self, table):
+        r = record_for(BinaryCode(0x0F, 8), table)
+        assert record_to_line(0, r).split()[8] == "/data/sceneA.rsr"
+
 
 class TestModelGallery:
+    def test_path_with_space_and_percent_round_trips(self, tmp_path, table):
+        path = tmp_path / "m.mgal"
+        artifact = "/my models/b 0 @ 50%.lpm1"
+        with ModelGallery(path, table) as g:
+            g.register(ModelRecord(table.codes[0], "building", 0, artifact, {"f1": 0.9}))
+        assert "/my%20models/b%200%20@%2050%25.lpm1" in path.read_text()
+        with ModelGallery(path, table) as g:
+            assert g.lookup(table.codes[0], "building").artifact_path == artifact
+
     def test_versions_monotone(self, tmp_path, table):
         with ModelGallery(tmp_path / "m.mgal", table) as g:
             c = table.codes[0]

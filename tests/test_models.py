@@ -3,10 +3,10 @@ import pytest
 from scipy.ndimage import uniform_filter
 
 from resflow.models import (
+    BucketModel,
     LinearPixelModel,
     ModelError,
     TrainConfig,
-    infer_tile,
     iou_to_f1,
     load_model,
     logistic_loss_grad,
@@ -200,8 +200,8 @@ class TestInference:
                 return Mask(w=tile.extent.w, h=tile.extent.h,
                             labels=np.zeros((tile.extent.h, tile.extent.w), dtype=np.uint8))
 
-        tile = make_tile(np.zeros((5, 7, 3), dtype=np.uint8))
-        out = infer_tile(Zeros(), tile)
+        assert isinstance(Zeros(), BucketModel)
+        out = Zeros().infer(make_tile(np.zeros((5, 7, 3), dtype=np.uint8)))
         assert (out.w, out.h) == (7, 5)
 
     def test_pixel_features_shape(self):
