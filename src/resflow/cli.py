@@ -7,6 +7,10 @@ Commands operate on a workspace directory with a fixed layout:
     <ws>/models/      model_gallery.mgal plus per-bucket artifacts
     <ws>/<out>/       masks, bucket sidecars, metrics.json (infer; default "infer")
 
+Every command reads one ``RunConfig``. ``feature_dim`` and ``n_bits`` apply
+at ``partition`` only, which writes them into the hash and centroid files;
+``train``, ``infer`` and ``bench`` take both widths from those files.
+
 Exit codes: 0 success, 2 config error, 3 data error, 4 pipeline error.
 """
 
@@ -32,7 +36,6 @@ from .embedding import (
 )
 from .executor import (
     DeviceCostModel,
-    ExecutorConfig,
     PipelineAssets,
     PipelineError,
     SimulatedDevice,
@@ -106,19 +109,6 @@ def _simulated_device(config: RunConfig) -> SimulatedDevice:
         io_ms_per_megabyte=config.cost_io_ms_per_megabyte,
     )
     return SimulatedDevice(cost_model, config.distributions, config.tile_px, config.overlap_px)
-
-
-def _executor_config(config: RunConfig, pool: DevicePool, workers: int | None = None) -> ExecutorConfig:
-    return ExecutorConfig(
-        pool=pool,
-        workers=workers if workers is not None else config.workers,
-        batch=config.batch,
-        tile_px=config.tile_px,
-        overlap_px=config.overlap_px,
-        task=config.task,
-        scheduler_seed=config.seed,
-        ticket_timeout_s=config.ticket_timeout_s,
-    )
 
 
 def _scan_embeddings(catalog, config: RunConfig, stage: str):
@@ -210,7 +200,7 @@ def cmd_partition(config: RunConfig, workspace, dump_embeddings=None) -> int:
 
 
 def _truth_ref(paths, scene):
-    return load_scene_header(paths["scenes"] / f"{scene.scene_id}.truth.rsr")
+    return load_scene_header(paths["scenes"] / f"{scene.scene_id}.truth.rsr", scene_id=scene.scene_id)
 
 
 def cmd_train(config: RunConfig, workspace) -> int:
@@ -232,9 +222,7 @@ def cmd_train(config: RunConfig, workspace) -> int:
             for r in records:
                 scene = catalog.get(r.scene_id)
                 tile = read_window(scene, r.extent, ledger, "train")
-                truth = truth_refs[r.scene_id]
-                t_ext = replace(r.extent, scene_id=truth.scene_id)
-                truth_tile = read_window(truth, t_ext, ledger, "train")
+                truth_tile = read_window(truth_refs[r.scene_id], r.extent, ledger, "train")
                 samples.append(
                     (tile, Mask(w=r.extent.w, h=r.extent.h, labels=truth_tile.pixels[:, :, 0]))
                 )
@@ -271,6 +259,8 @@ def cmd_train(config: RunConfig, workspace) -> int:
 
 
 def cmd_infer(config: RunConfig, workspace, out_name="infer", event_log=None, workers=None) -> int:
+    if workers is not None:
+        config = replace(config, workers=workers).validate()
     paths = _ws_paths(workspace)
     catalog = SceneCatalog.from_manifest(paths["manifest"])
     scenes = list(catalog)
@@ -284,16 +274,15 @@ def cmd_infer(config: RunConfig, workspace, out_name="infer", event_log=None, wo
     pool = DevicePool(config.devices, config.tickets_per_device)
     ledger = ReadLedger()
     with ModelGallery(paths["model_gallery"], table) as registry, ImageGallery(
-        run_gallery_path, n_bits=config.n_bits, centroids=table
+        run_gallery_path, n_bits=table.width, centroids=table
     ) as run_gallery:
         assets = PipelineAssets(
             hash_fn=hash_fn,
             centroids=table,
             model_gallery=registry,
             image_gallery=run_gallery,
-            feature_config=FeatureConfig(dim=config.feature_dim),
         )
-        result = run_pipeline(scenes, _executor_config(config, pool, workers), assets, ledger)
+        result = run_pipeline(scenes, config, assets, pool, ledger)
     centroid_hex = {bid: code.to_hex() for bid, code in table.items()}
     for scene in scenes:
         if scene.scene_id not in result.masks:
@@ -347,7 +336,6 @@ def cmd_bench(config: RunConfig, workspace, workers_list, scene_counts, out_path
             hash_fn=load_hash(paths["hash"]),
             centroids=table,
             model_gallery=ModelGallery(paths["model_gallery"], table),
-            feature_config=FeatureConfig(dim=config.feature_dim),
         )
     rows = []
     for n_scenes in scene_counts:
@@ -356,7 +344,7 @@ def cmd_bench(config: RunConfig, workspace, workers_list, scene_counts, out_path
         scenes = all_scenes[:n_scenes]
         for workers in workers_list:
             pool = DevicePool(config.devices, config.tickets_per_device)
-            result = run_pipeline(scenes, _executor_config(config, pool, workers), device)
+            result = run_pipeline(scenes, replace(config, workers=workers), device, pool)
             m = result.metrics.finalize(config.baseline_s_per_scene)
             rows.append(
                 {

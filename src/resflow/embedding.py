@@ -21,6 +21,8 @@ log = logging.getLogger(__name__)
 
 # Histogram range upper bound per sample dtype; f32 inputs are expected in [0, 1].
 _FULL_SCALE = {"uint8": 256.0, "uint16": 65536.0, "float32": 1.0, "float64": 1.0}
+# k-means++ starts per k-means fit; the knee scores the same fit that partition writes.
+KMEANS_RESTARTS = 3
 
 
 class ClusterError(ValueError):
@@ -155,10 +157,10 @@ def lloyd(points: np.ndarray, init_centroids: np.ndarray, max_iter: int = 300, t
     return centroids, labels
 
 
-def _fit_kmeans(points: np.ndarray, k: int, seed: int, restarts: int) -> ClusterModel:
+def _fit_kmeans(points: np.ndarray, k: int, seed: int) -> ClusterModel:
     best = None
     best_sse = np.inf
-    seeds = np.random.SeedSequence(seed).spawn(max(restarts, 1))
+    seeds = np.random.SeedSequence(seed).spawn(KMEANS_RESTARTS)
     for ss in seeds:
         rng = np.random.default_rng(ss)
         centroids, labels = lloyd(points, _kmeans_pp_init(points, k, rng))
@@ -194,12 +196,12 @@ def fit_clusters(
     k: int,
     method: str = "kmeans",
     seed: int = 0,
-    restarts: int = 1,
 ) -> ClusterModel:
     """Cluster embedding vectors into k groups.
 
-    kmeans: k-means++ seeding from ``seed`` then Lloyd iterations until the
-    max per-coordinate centroid shift drops below 1e-6 or 300 iterations.
+    kmeans: ``KMEANS_RESTARTS`` k-means++ seedings drawn from ``seed``, each
+    followed by Lloyd iterations until the max per-coordinate centroid shift
+    drops below 1e-6 or 300 iterations; the lowest-SSE result wins.
     agglomerative: Ward linkage cut at k clusters (seed is ignored there).
     """
     points = np.asarray(embeddings, dtype=np.float64)
@@ -211,7 +213,7 @@ def fit_clusters(
     if k > n:
         raise ClusterError(f"k={k} exceeds number of points {n}")
     if method == "kmeans":
-        return _fit_kmeans(points, k, seed, restarts)
+        return _fit_kmeans(points, k, seed)
     if method == "agglomerative":
         return _fit_agglomerative(points, k, seed)
     raise ClusterError(f"unknown clustering method {method!r}")
@@ -240,7 +242,6 @@ def variance_curve(
     ks,
     method: str = "kmeans",
     seed: int = 0,
-    restarts: int = 1,
 ) -> dict[int, float]:
     """Intra-cluster variance per candidate k; shares one linkage for ward."""
     points = np.asarray(embeddings, dtype=np.float64)
@@ -257,7 +258,7 @@ def variance_curve(
             out[k] = intra_cluster_variance(model, points)
         return out
     for k in ks:
-        model = fit_clusters(points, k, method=method, seed=seed, restarts=restarts)
+        model = fit_clusters(points, k, method=method, seed=seed)
         out[k] = intra_cluster_variance(model, points)
     return out
 
@@ -268,7 +269,6 @@ def select_bucket_count(
     method: str = "kmeans",
     seed: int = 0,
     tau: float = 0.1,
-    restarts: int = 3,
 ) -> int:
     """Pick the knee of the variance-vs-k curve.
 
@@ -284,7 +284,7 @@ def select_bucket_count(
     probe = list(ks)
     if ks[-1] + 1 <= len(points):
         probe.append(ks[-1] + 1)
-    curve = variance_curve(points, probe, method=method, seed=seed, restarts=restarts)
+    curve = variance_curve(points, probe, method=method, seed=seed)
     for k, k_next in zip(probe[:-1], probe[1:]):
         if k not in ks:
             continue

@@ -22,6 +22,10 @@ and labels them with the fitted artifacts. ``SimulatedDevice`` does no pixel
 work: it records the same ledger reads and sleeps as long as a device cost
 model says, which is what the scaling-shape checks exercise.
 
+The run's shape comes from the CLI's one ``RunConfig``. Descriptor and code
+widths come from the fitted artifacts, so ``feature_dim`` and ``n_bits``
+apply at ``partition`` only.
+
 Workers hold a device ticket for the duration of any stage-A or stage-B
 batch. Results are collected as immutable values and reassembled in plan
 order, so masks and gallery contents do not depend on worker count or
@@ -41,6 +45,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from .config import RunConfig
 from .embedding import FeatureConfig, extract_features
 from .gallery import GalleryRecord, ImageGallery, ModelGallery, ModelGapError
 from .hashing import BinaryCode, CentroidTable, HashFunction, assign_bucket, encode
@@ -149,43 +154,23 @@ def group_by_scene(results) -> dict[str, list[tuple[TileExtent, Mask]]]:
 
 
 @dataclass
-class ExecutorConfig:
-    """Run-shape knobs for one pipeline invocation; the pool rides along."""
-
-    pool: DevicePool
-    workers: int = 4
-    batch: int = 12
-    tile_px: int = 500
-    overlap_px: int = 0
-    task: str = "building"
-    scheduler_seed: int = 0
-    ticket_timeout_s: float = 30.0
-
-    def __post_init__(self):
-        if self.workers < 1:
-            raise PipelineError("workers must be >= 1")
-        if self.batch < 1:
-            raise PipelineError("batch must be >= 1")
-
-
-@dataclass
 class PipelineAssets:
     """Fitted artifacts: the device of a real run.
 
-    Its calls resolve ``read_window``, ``extract_features``, ``encode``,
-    ``assign_bucket`` and ``load_model`` through this module's globals, so a
-    tracer that replaces those names here sees every call.
+    Tiles are described at the hash's input width. Its calls resolve
+    ``read_window``, ``extract_features``, ``encode``, ``assign_bucket`` and
+    ``load_model`` through this module's globals, so a tracer that replaces
+    those names here sees every call.
     """
 
     hash_fn: HashFunction
     centroids: CentroidTable
     model_gallery: ModelGallery
     image_gallery: ImageGallery | None = None
-    feature_config: FeatureConfig = field(default_factory=FeatureConfig)
 
     def embed(self, scene: SceneRef, ext: TileExtent, ledger: ReadLedger) -> tuple[BinaryCode, int]:
         tile = read_window(scene, ext, ledger, STAGE_EMBED)
-        code = encode(self.hash_fn, extract_features(tile, self.feature_config))
+        code = encode(self.hash_fn, extract_features(tile, FeatureConfig(dim=self.hash_fn.dim)))
         return code, assign_bucket(code, self.centroids)
 
     def model(self, bucket: int, task: str) -> BucketModel:
@@ -294,24 +279,29 @@ def _map_tasks(tasks, workers: int, fn) -> list:
 
 def run_pipeline(
     scenes: list[SceneRef],
-    config: ExecutorConfig,
+    config: RunConfig,
     device,
+    pool: DevicePool,
     ledger: ReadLedger | None = None,
 ) -> RunOutput:
     """Execute embed+assign, per-bucket inference, and per-scene merge on ``device``.
 
-    ``device`` is ``PipelineAssets`` for a real run or ``SimulatedDevice``
-    for a cost-model run. A bucket whose model lookup raises ``ModelGapError``
-    fails only that bucket's tiles; every scene it touches is reported in
-    ``failures`` and left unmerged. Any other error stops the run: tasks not
-    yet started are dropped, running ones finish and return their tickets,
-    and the error is re-raised.
+    ``config`` gives ``workers``, ``batch``, ``tile_px``, ``overlap_px``,
+    ``task``, ``seed`` (the scheduler shuffle) and ``ticket_timeout_s``, and is
+    validated (``ConfigError``) before any thread starts; its ``feature_dim``
+    and ``n_bits`` are unused, as the device's artifacts fix both. ``pool``
+    hands out the tickets. ``device`` is ``PipelineAssets`` for a real run or
+    ``SimulatedDevice`` for a cost-model run. A bucket whose model lookup
+    raises ``ModelGapError`` fails only that bucket's tiles; every scene it
+    touches is reported in ``failures`` and left unmerged. Any other error
+    stops the run: tasks not yet started are dropped, running ones finish and
+    return their tickets, and the error is re-raised.
     """
+    config.validate()
     if not scenes:
         raise PipelineError("no scenes to run")
     ledger = ledger if ledger is not None else ReadLedger()
-    pool = config.pool
-    rng = random.Random(config.scheduler_seed)
+    rng = random.Random(config.seed)
     plans = [tile_extents(scene, config.tile_px, config.overlap_px) for scene in scenes]
     metrics = RunMetrics(
         scenes=len(scenes),

@@ -166,18 +166,10 @@ class ReadLedger:
         with self._lock:
             return self._counts.get((scene_id, stage), 0)
 
-    def stages(self, scene_id: str) -> dict[str, int]:
-        with self._lock:
-            return {s: c for (sid, s), c in self._counts.items() if sid == scene_id}
-
     @property
     def bytes_read(self) -> int:
         with self._lock:
             return self._bytes
-
-    def snapshot(self) -> dict[tuple[str, str], int]:
-        with self._lock:
-            return dict(self._counts)
 
 
 def _dtype_tag(arr: np.ndarray) -> str:

@@ -175,6 +175,23 @@ class TestInferCommand:
         report = audit_events(events, tickets_per_device=2)
         assert report.ok and report.checkouts > 0
 
+    def test_widths_come_from_the_partition_files(self, trained_workspace):
+        # n_bits and feature_dim apply at partition; infer must ignore other values.
+        ws = str(trained_workspace)
+        assert run_cli(["infer", "-w", ws, "--out", "widths_default"]) == 0
+        overrides = ["n_bits=8", "feature_dim=64"]
+        assert run_cli(["infer", "-w", ws, "--out", "widths_set"], overrides) == 0
+        for i in range(3):
+            name = f"scene{i:03d}.mask.rsr"
+            want = (trained_workspace / "widths_default" / name).read_bytes()
+            assert (trained_workspace / "widths_set" / name).read_bytes() == want
+
+    def test_zero_workers_is_config_error(self, trained_workspace, capsys):
+        capsys.readouterr()
+        assert run_cli(["infer", "-w", str(trained_workspace), "--out", "w0", "--workers", "0"]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not (trained_workspace / "w0").exists()
+
 
 SMALL_WS = ["--set", "scenes=1", "--set", "scene_px=512", "--set", "tile_px=128",
             "--set", "k=6", "--set", "distributions=6"]

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from resflow.embedding import (
+    KMEANS_RESTARTS,
     ClusterError,
     ClusterModel,
     FeatureConfig,
@@ -9,8 +10,10 @@ from resflow.embedding import (
     fit_clusters,
     intra_cluster_variance,
     lloyd,
+    _kmeans_pp_init,
     select_bucket_count,
 )
+from resflow.synth import make_texture_tiles
 
 from conftest import make_blobs, make_tile
 
@@ -188,6 +191,20 @@ class TestFitClusters:
         pairs = rng.integers(0, len(points), size=(500, 2))
         for i, j in pairs:
             assert (la[i] == la[j]) == (lb[i] == lb[j])
+
+    def test_kmeans_keeps_its_best_restart(self):
+        # The knee scores k with KMEANS_RESTARTS starts; the fit partition writes must be
+        # the lowest-SSE one of those. One start gave SSE 12.4 here against 11.2.
+        tiles, _ = make_texture_tiles(6, 8, tile_px=32, seed=3)
+        points = np.array([extract_features(t) for t in tiles])
+        sses = []
+        for ss in np.random.SeedSequence(3).spawn(KMEANS_RESTARTS):
+            init = _kmeans_pp_init(points, 10, np.random.default_rng(ss))
+            centroids, labels = lloyd(points, init)
+            sses.append(float(((points - centroids[labels]) ** 2).sum()))
+        model = fit_clusters(points, 10, method="kmeans", seed=3)
+        sse = float(((points - model.centroids[model.labels]) ** 2).sum())
+        assert sse == min(sses) < sses[0]
 
     def test_centroid_is_member_mean(self):
         points, _ = make_blobs(3, 25, seed=6)

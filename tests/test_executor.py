@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from resflow.embedding import FeatureConfig, extract_features, fit_clusters
+from resflow.config import ConfigError, RunConfig
+from resflow.embedding import extract_features, fit_clusters
 from resflow.executor import (
     DeviceCostModel,
-    ExecutorConfig,
     PipelineAssets,
     PipelineError,
     RunMetrics,
@@ -126,6 +126,7 @@ def build_assets(tmp_path, tiles, labels, task="building", skip_bucket=None):
         artifact = tmp_path / f"b{bucket_id}.lpm1"
         save_model(artifact, model)
         registry.register(ModelRecord(centroid, task, 0, str(artifact), {"f1": 1.0}))
+    registry.close()  # releases the append handle only; lookups still work
     return hash_fn, table, registry
 
 
@@ -155,13 +156,10 @@ def run_once(tmp_path, hash_fn, table, registry, scenes, workers, seed=0, galler
         centroids=table,
         model_gallery=registry,
         image_gallery=gallery,
-        feature_config=FeatureConfig(),
     )
     pool = DevicePool(4, 2)
-    config = ExecutorConfig(
-        pool=pool, workers=workers, batch=3, tile_px=64, scheduler_seed=seed
-    )
-    out = run_pipeline(scenes, config, assets, ReadLedger())
+    config = RunConfig(workers=workers, batch=3, tile_px=64, seed=seed)
+    out = run_pipeline(scenes, config, assets, pool, ReadLedger())
     if gallery is not None:
         gallery.close()
     return out
@@ -218,9 +216,9 @@ class TestRunPipelineReal:
 class TestRunPipelineSimulate:
     def test_metrics_and_masks(self):
         scenes = make_virtual_scenes(2, 256, 256)
-        config = ExecutorConfig(pool=DevicePool(2, 2), workers=4, batch=2, tile_px=64)
+        config = RunConfig(workers=4, batch=2, tile_px=64)
         device = SimulatedDevice(DeviceCostModel(base_ms=1.0, ms_per_megapixel=0.0), 6, tile_px=64)
-        out = run_pipeline(scenes, config, device)
+        out = run_pipeline(scenes, config, device, DevicePool(2, 2))
         m = out.metrics
         assert m.scenes == 2 and m.tiles == 32
         assert set(m.reads_per_scene.values()) == {2.0}
@@ -234,14 +232,9 @@ class TestRunPipelineSimulate:
         cost = DeviceCostModel(base_ms=5.0, ms_per_megapixel=1.0)
         scenes = make_virtual_scenes(12, 400, 400)
         for workers in (1, 4, 8, 16):
-            config = ExecutorConfig(
-                pool=DevicePool(4, 2),
-                workers=workers,
-                batch=1,
-                tile_px=100,
-                scheduler_seed=workers,
-            )
-            m = run_pipeline(scenes, config, SimulatedDevice(cost, 6, tile_px=100)).metrics
+            config = RunConfig(workers=workers, batch=1, tile_px=100, seed=workers)
+            device = SimulatedDevice(cost, 6, tile_px=100)
+            m = run_pipeline(scenes, config, device, DevicePool(4, 2)).metrics
             pred = predicted_wall_s(
                 scenes, cost, tile_px=100, workers=workers, tickets_total=8
             )
@@ -250,9 +243,9 @@ class TestRunPipelineSimulate:
     def test_ticket_log_is_clean(self):
         scenes = make_virtual_scenes(3, 128, 128)
         pool = DevicePool(2, 2)
-        config = ExecutorConfig(pool=pool, workers=8, batch=2, tile_px=32)
+        config = RunConfig(workers=8, batch=2, tile_px=32)
         device = SimulatedDevice(DeviceCostModel(base_ms=0.2, ms_per_megapixel=0.0), 6, tile_px=32)
-        run_pipeline(scenes, config, device)
+        run_pipeline(scenes, config, device, pool)
         report = audit_events(pool.events, tickets_per_device=2)
         assert report.ok
 
@@ -278,9 +271,9 @@ class TestAbortOnError:
         scenes = make_virtual_scenes(2, 128, 128)
         device = FailingDevice(tile_extents(scenes[1], 32)[5], tile_px=32)
         pool = DevicePool(2, 2)
-        config = ExecutorConfig(pool=pool, workers=workers, batch=1, tile_px=32)
+        config = RunConfig(workers=workers, batch=1, tile_px=32)
         with pytest.raises(RuntimeError, match="label failed"):
-            run_pipeline(scenes, config, device)
+            run_pipeline(scenes, config, device, pool)
         assert set(pool.snapshot().values()) == {0}
         assert audit_events(pool.events, tickets_per_device=2).ok
 
@@ -288,9 +281,9 @@ class TestAbortOnError:
         scenes = make_virtual_scenes(2, 128, 128)
         bad = tile_extents(scenes[1], 32)[5]
         device = FailingDevice(bad, tile_px=32)
-        config = ExecutorConfig(pool=DevicePool(1, 1), workers=1, batch=1, tile_px=32)
+        config = RunConfig(workers=1, batch=1, tile_px=32)
         with pytest.raises(RuntimeError, match="label failed"):
-            run_pipeline(scenes, config, device)
+            run_pipeline(scenes, config, device, DevicePool(1, 1))
         assert device.labelled[-1] == bad
         assert len(device.labelled) < 32  # tasks were left when it failed
 
@@ -298,10 +291,20 @@ class TestAbortOnError:
 def test_event_log_worker_ids_are_pool_slots(tmp_path):
     scenes = make_virtual_scenes(3, 128, 128)
     pool = DevicePool(2, 2)
-    config = ExecutorConfig(pool=pool, workers=2, batch=1, tile_px=32)
+    config = RunConfig(workers=2, batch=1, tile_px=32)
     device = SimulatedDevice(DeviceCostModel(base_ms=0.5, ms_per_megapixel=0.0), 6, tile_px=32)
-    run_pipeline(scenes, config, device)
+    run_pipeline(scenes, config, device, pool)
     log = tmp_path / "events.log"
     pool.write_event_log(log)
     workers = {parse_event_line(line).worker for line in log.read_text().splitlines()}
     assert workers and workers <= {0, 1}
+
+
+@pytest.mark.parametrize("field", ["workers", "batch"])
+def test_bad_run_shape_fails_before_any_ticket(field):
+    scenes = make_virtual_scenes(1, 64, 64)
+    pool = DevicePool(1, 1)
+    device = SimulatedDevice(DeviceCostModel(base_ms=0.0, ms_per_megapixel=0.0), 6, tile_px=32)
+    with pytest.raises(ConfigError, match=field):
+        run_pipeline(scenes, RunConfig(tile_px=32, **{field: 0}), device, pool)
+    assert pool.events == []
