@@ -5,11 +5,13 @@ Commands operate on a workspace directory with a fixed layout:
     <ws>/scenes/      scene rasters, truth masks, manifest.txt, gen_records.json
     <ws>/partition/   hash.hsh1, centroids.txt, image_gallery.igal, bucket_counts.txt
     <ws>/models/      model_gallery.mgal plus per-bucket artifacts
-    <ws>/<out>/       masks, bucket sidecars, metrics.json (infer; default "infer")
+    <ws>/<out>/       masks, bucket sidecars, image_gallery.igal (the run's tiles),
+                      metrics.json (infer; default "infer")
 
 Every command reads one ``RunConfig``. ``feature_dim`` and ``n_bits`` apply
 at ``partition`` only, which writes them into the hash and centroid files;
-``train``, ``infer`` and ``bench`` take both widths from those files.
+``train``, ``infer`` and ``bench`` take both widths from those files. Only
+``train`` creates the model gallery; ``infer`` and ``bench`` need it to exist.
 
 Exit codes: 0 success, 2 config error, 3 data error, 4 pipeline error.
 """
@@ -28,7 +30,6 @@ import numpy as np
 from .config import ConfigError, RunConfig, emit_config, load_config
 from .embedding import (
     ClusterError,
-    FeatureConfig,
     extract_features,
     fit_clusters,
     intra_cluster_variance,
@@ -106,21 +107,33 @@ def _simulated_device(config: RunConfig) -> SimulatedDevice:
     cost_model = DeviceCostModel(
         base_ms=config.cost_base_ms,
         ms_per_megapixel=config.cost_ms_per_megapixel,
-        io_ms_per_megabyte=config.cost_io_ms_per_megabyte,
     )
-    return SimulatedDevice(cost_model, config.distributions, config.tile_px, config.overlap_px)
+    return SimulatedDevice(cost_model, config.distributions, config.tile_px)
+
+
+def _open_model_gallery(paths, table: CentroidTable) -> ModelGallery:
+    """The model gallery ``train`` wrote; a missing one is a data error, never created."""
+    path = paths["model_gallery"]
+    if not path.exists():
+        raise FileNotFoundError(f"model gallery not found: {path} (run train first)")
+    return ModelGallery(path, table)
+
+
+def _warn_failures(result) -> None:
+    for scene_id, problems in sorted(result.failures.items()):
+        for p in problems:
+            print(f"warning: scene {scene_id}: {p}", file=sys.stderr)
 
 
 def _scan_embeddings(catalog, config: RunConfig, stage: str):
     """Row-major descriptor pass over every tile of every scene."""
-    feat = FeatureConfig(dim=config.feature_dim)
     ledger = ReadLedger()
     keys, rows = [], []
     for scene in catalog:
-        for ext in tile_extents(scene, config.tile_px, config.overlap_px):
+        for ext in tile_extents(scene, config.tile_px):
             tile = read_window(scene, ext, ledger, stage)
             keys.append((scene, ext))
-            rows.append(extract_features(tile, feat))
+            rows.append(extract_features(tile, config.feature_dim))
     return keys, np.array(rows)
 
 
@@ -266,6 +279,7 @@ def cmd_infer(config: RunConfig, workspace, out_name="infer", event_log=None, wo
     scenes = list(catalog)
     table = CentroidTable.load(paths["centroids"])
     hash_fn = load_hash(paths["hash"])
+    registry = _open_model_gallery(paths, table)
     out_dir = paths["root"] / out_name
     out_dir.mkdir(parents=True, exist_ok=True)
     run_gallery_path = out_dir / "image_gallery.igal"
@@ -273,7 +287,7 @@ def cmd_infer(config: RunConfig, workspace, out_name="infer", event_log=None, wo
         run_gallery_path.unlink()
     pool = DevicePool(config.devices, config.tickets_per_device)
     ledger = ReadLedger()
-    with ModelGallery(paths["model_gallery"], table) as registry, ImageGallery(
+    with registry, ImageGallery(
         run_gallery_path, n_bits=table.width, centroids=table
     ) as run_gallery:
         assets = PipelineAssets(
@@ -291,13 +305,11 @@ def cmd_infer(config: RunConfig, workspace, out_name="infer", event_log=None, wo
         write_mask(out_dir / f"{scene.scene_id}.mask.rsr", mask, scene.gsd_m, scene.scene_id)
         entries = [(ext, centroid_hex[bucket]) for ext, bucket in mask.provenance.items()]
         write_bucket_sidecar(out_dir / f"{scene.scene_id}.buckets.txt", entries)
-    metrics = result.metrics.finalize(config.baseline_s_per_scene)
+    metrics = result.metrics.finalize()
     (out_dir / "metrics.json").write_text(metrics.to_json(), encoding="ascii")
     if event_log:
         pool.write_event_log(event_log)
-    for scene_id, problems in sorted(result.failures.items()):
-        for p in problems:
-            print(f"warning: scene {scene_id}: {p}", file=sys.stderr)
+    _warn_failures(result)
     if not result.masks:
         print(f"pipeline error: no scene of {len(scenes)} produced a mask", file=sys.stderr)
         return EXIT_PIPELINE
@@ -335,7 +347,7 @@ def cmd_bench(config: RunConfig, workspace, workers_list, scene_counts, out_path
         device = PipelineAssets(
             hash_fn=load_hash(paths["hash"]),
             centroids=table,
-            model_gallery=ModelGallery(paths["model_gallery"], table),
+            model_gallery=_open_model_gallery(paths, table),
         )
     rows = []
     for n_scenes in scene_counts:
@@ -345,7 +357,16 @@ def cmd_bench(config: RunConfig, workspace, workers_list, scene_counts, out_path
         for workers in workers_list:
             pool = DevicePool(config.devices, config.tickets_per_device)
             result = run_pipeline(scenes, replace(config, workers=workers), device, pool)
-            m = result.metrics.finalize(config.baseline_s_per_scene)
+            _warn_failures(result)
+            # A row counts the area of every scene, so a run that left one unmapped has no row.
+            if len(result.masks) < n_scenes:
+                print(
+                    f"pipeline error: {n_scenes - len(result.masks)} of {n_scenes} scenes "
+                    f"produced no mask at workers={workers}; no bench rows written",
+                    file=sys.stderr,
+                )
+                return EXIT_PIPELINE
+            m = result.metrics.finalize()
             rows.append(
                 {
                     "workers": workers,

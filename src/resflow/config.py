@@ -20,7 +20,6 @@ class ConfigError(ValueError):
 @dataclass
 class RunConfig:
     tile_px: int = 500
-    overlap_px: int = 0
     n_bits: int = 32
     k: int = 0  # 0 selects the bucket count from [k_min, k_max]
     k_min: int = 2
@@ -34,9 +33,7 @@ class RunConfig:
     simulate: bool = False
     cost_base_ms: float = 5.0
     cost_ms_per_megapixel: float = 1.0
-    cost_io_ms_per_megabyte: float = 0.0
     batch: int = 12
-    baseline_s_per_scene: float = 2100.0
     seed: int = 0
     task: str = "building"
     scenes: int = 3
@@ -47,8 +44,6 @@ class RunConfig:
     def validate(self) -> "RunConfig":
         if self.tile_px <= 0:
             raise ConfigError(f"tile_px must be positive, got {self.tile_px}")
-        if not 0 <= self.overlap_px < self.tile_px:
-            raise ConfigError(f"overlap_px must be in [0, tile_px), got {self.overlap_px}")
         if self.n_bits <= 0:
             raise ConfigError(f"n_bits must be positive, got {self.n_bits}")
         if self.cluster_method not in ("kmeans", "agglomerative"):

@@ -1,9 +1,8 @@
 """Tile descriptors, clustering, and data-driven bucket-count selection.
 
 The descriptor is a fixed spectral/texture summary (per band: mean, standard
-deviation, an 8-bin intensity histogram, and gradient energy), padded to a
-configurable dimension so a learned extractor can be dropped in without
-changing gallery storage. Clustering offers seeded k-means and Ward-linkage
+deviation, an 8-bin intensity histogram, and gradient energy), zero-padded to
+the hash's input width. Clustering offers seeded k-means and Ward-linkage
 agglomerative; both return the same ClusterModel shape.
 """
 
@@ -21,6 +20,9 @@ log = logging.getLogger(__name__)
 
 # Histogram range upper bound per sample dtype; f32 inputs are expected in [0, 1].
 _FULL_SCALE = {"uint8": 256.0, "uint16": 65536.0, "float32": 1.0, "float64": 1.0}
+# Descriptor slots per band: mean, std, HIST_BINS histogram bins, gradient energy.
+HIST_BINS = 8
+PER_BAND = 2 + HIST_BINS + 1
 # k-means++ starts per k-means fit; the knee scores the same fit that partition writes.
 KMEANS_RESTARTS = 3
 
@@ -29,27 +31,17 @@ class ClusterError(ValueError):
     """Invalid clustering request or degenerate input."""
 
 
-@dataclass(frozen=True)
-class FeatureConfig:
-    """Descriptor layout: per-band stats padded with zeros up to ``dim``."""
-
-    dim: int = 48
-    hist_bins: int = 8
-
-    def per_band(self) -> int:
-        return 2 + self.hist_bins + 1
-
-
-def extract_features(tile: Tile, config: FeatureConfig = FeatureConfig()) -> np.ndarray:
-    """Deterministic per-tile descriptor.
+def extract_features(tile: Tile, dim: int = 48) -> np.ndarray:
+    """Deterministic per-tile descriptor of ``dim`` slots.
 
     Per band: mean, std, normalized intensity histogram, and the mean absolute
     finite difference pooled over the horizontal and vertical directions
-    (gradient energy). Byte-identical tiles give byte-identical vectors.
+    (gradient energy); unused slots are zero. Byte-identical tiles give
+    byte-identical vectors.
 
-    u8 tiles with 8 bins take an integer path for the histogram (``px >> 5``
-    counted by ``bincount``) and the gradient energy (int16 differences summed
-    in int64). Every count and partial sum there is an integer below 2**53, so
+    u8 tiles take an integer path for the histogram (``px >> 5`` counted by
+    ``bincount``) and the gradient energy (int16 differences summed in
+    int64). Every count and partial sum there is an integer below 2**53, so
     the float path would compute the same sums exactly and the output is
     identical; mean and std always take the float path.
     """
@@ -58,33 +50,33 @@ def extract_features(tile: Tile, config: FeatureConfig = FeatureConfig()) -> np.
         raise ClusterError("empty tile")
     full = _FULL_SCALE.get(px.dtype.name, 1.0)
     bands = px.shape[2]
-    need = bands * config.per_band()
-    if need > config.dim:
-        raise ClusterError(f"descriptor needs {need} slots, config.dim is {config.dim}")
-    integer_path = px.dtype == np.uint8 and config.hist_bins == 8
-    vec = np.zeros(config.dim, dtype=np.float64)
+    need = bands * PER_BAND
+    if need > dim:
+        raise ClusterError(f"descriptor needs {need} slots, dim is {dim}")
+    integer_path = px.dtype == np.uint8
+    vec = np.zeros(dim, dtype=np.float64)
     at = 0
     data = px.astype(np.float64)
     for b in range(bands):
         band = data[:, :, b]
         vec[at] = band.mean()
         vec[at + 1] = band.std()
-        hist = slice(at + 2, at + 2 + config.hist_bins)
+        hist = slice(at + 2, at + 2 + HIST_BINS)
         if integer_path:
             ints = px[:, :, b]
-            vec[hist] = np.bincount((ints >> 5).ravel(), minlength=8) / band.size
+            vec[hist] = np.bincount((ints >> 5).ravel(), minlength=HIST_BINS) / band.size
             ints = ints.astype(np.int16)
             grad = int(np.abs(np.diff(ints, axis=1)).sum(dtype=np.int64))
             grad += int(np.abs(np.diff(ints, axis=0)).sum(dtype=np.int64))
         else:
-            counts, _ = np.histogram(band, bins=config.hist_bins, range=(0.0, full))
+            counts, _ = np.histogram(band, bins=HIST_BINS, range=(0.0, full))
             vec[hist] = counts / band.size
             dh = np.abs(np.diff(band, axis=1))
             dv = np.abs(np.diff(band, axis=0))
             grad = dh.sum() + dv.sum()
         npairs = (px.shape[1] - 1) * px.shape[0] + (px.shape[0] - 1) * px.shape[1]
-        vec[at + 2 + config.hist_bins] = float(grad) / npairs if npairs else 0.0
-        at += config.per_band()
+        vec[at + 2 + HIST_BINS] = float(grad) / npairs if npairs else 0.0
+        at += PER_BAND
     return vec
 
 

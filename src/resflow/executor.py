@@ -46,13 +46,12 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .config import RunConfig
-from .embedding import FeatureConfig, extract_features
+from .embedding import extract_features
 from .gallery import GalleryRecord, ImageGallery, ModelGallery, ModelGapError
 from .hashing import BinaryCode, CentroidTable, HashFunction, assign_bucket, encode
 from .models import BucketModel, load_model
 from .pool import DevicePool
 from .raster import (
-    DTYPES,
     Mask,
     ReadLedger,
     SceneRef,
@@ -65,6 +64,8 @@ from .raster import (
 
 STAGE_EMBED = "embed"
 STAGE_INFER = "infer"
+# The paper's single-node time per scene (35 minutes), the speedup's baseline.
+BASELINE_S_PER_SCENE = 2100.0
 
 
 class PipelineError(RuntimeError):
@@ -73,25 +74,17 @@ class PipelineError(RuntimeError):
 
 @dataclass(frozen=True)
 class DeviceCostModel:
-    """Synthetic device timing: per-tile service plus per-window I/O."""
+    """Synthetic device timing: a fixed cost per call plus a cost per pixel."""
 
     base_ms: float = 5.0
     ms_per_megapixel: float = 1.0
-    io_ms_per_megabyte: float = 0.0
 
     def __post_init__(self):
-        if min(self.base_ms, self.ms_per_megapixel, self.io_ms_per_megabyte) < 0:
+        if min(self.base_ms, self.ms_per_megapixel) < 0:
             raise PipelineError("cost model coefficients must be non-negative")
 
     def service_s(self, w: int, h: int) -> float:
         return (self.base_ms + (w * h / 1e6) * self.ms_per_megapixel) / 1e3
-
-    def io_s(self, nbytes: int) -> float:
-        return (nbytes / 1e6) * self.io_ms_per_megabyte / 1e3
-
-    def tile_cost_s(self, extent: TileExtent, bands: int, itemsize: int) -> float:
-        nbytes = extent.w * extent.h * bands * itemsize
-        return self.service_s(extent.w, extent.h) + self.io_s(nbytes)
 
 
 @dataclass
@@ -112,8 +105,8 @@ class RunMetrics:
     gb_per_s: float = 0.0
     images_per_s: float = 0.0
 
-    def finalize(self, baseline_s_per_scene: float) -> "RunMetrics":
-        self.speedup = compute_speedup(self, baseline_s_per_scene)
+    def finalize(self) -> "RunMetrics":
+        self.speedup = compute_speedup(self, BASELINE_S_PER_SCENE)
         self.sqkm_per_s = self.area_sqkm / self.wall_s
         self.gb_per_s = self.bytes_read / 1e9 / self.wall_s
         self.images_per_s = self.tiles / self.wall_s
@@ -123,13 +116,13 @@ class RunMetrics:
         return json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"
 
 
-def compute_speedup(metrics: RunMetrics, baseline_s_per_scene: float) -> float:
+def compute_speedup(metrics: RunMetrics, baseline: float) -> float:
     """Baseline per-scene time times scene count over measured wall seconds."""
     if metrics.scenes < 1:
         raise PipelineError("speedup needs at least one scene")
     if metrics.wall_s <= 0:
         raise PipelineError("speedup undefined for zero wall time")
-    return baseline_s_per_scene * metrics.scenes / metrics.wall_s
+    return baseline * metrics.scenes / metrics.wall_s
 
 
 def area_rate(metrics: RunMetrics) -> tuple[float, float]:
@@ -170,7 +163,7 @@ class PipelineAssets:
 
     def embed(self, scene: SceneRef, ext: TileExtent, ledger: ReadLedger) -> tuple[BinaryCode, int]:
         tile = read_window(scene, ext, ledger, STAGE_EMBED)
-        code = encode(self.hash_fn, extract_features(tile, FeatureConfig(dim=self.hash_fn.dim)))
+        code = encode(self.hash_fn, extract_features(tile, self.hash_fn.dim))
         return code, assign_bucket(code, self.centroids)
 
     def model(self, bucket: int, task: str) -> BucketModel:
@@ -188,21 +181,20 @@ class SimulatedDevice:
     """A device that does no pixel work and takes as long as a cost model says.
 
     Each tile records its window read in the ledger and sleeps for the cost
-    model's tile cost; a tile's bucket is its row-major position in the tile
-    plan modulo ``buckets``, and every label is all zeros. Merging a scene
-    costs one service pass over its full area. Platform timers overshoot short
-    sleeps, so each thread carries the time it still owes (negative after an
-    overshoot) into its next sleep; a worker's total then matches the cost
-    model instead of drifting by one overshoot per tile.
+    model's service time of its extent; a tile's bucket is its row-major
+    position in the tile plan modulo ``buckets``, and every label is all
+    zeros. Merging a scene costs one service pass over its full area. Platform
+    timers overshoot short sleeps, so each thread carries the time it still
+    owes (negative after an overshoot) into its next sleep; a worker's total
+    then matches the cost model instead of drifting by one overshoot per tile.
     """
 
     image_gallery = None
 
-    def __init__(self, cost_model: DeviceCostModel, buckets: int, tile_px: int, overlap_px: int = 0):
+    def __init__(self, cost_model: DeviceCostModel, buckets: int, tile_px: int):
         self.cost_model = cost_model
         self.buckets = buckets
         self.tile_px = tile_px
-        self.overlap_px = overlap_px
         self._plans: dict[str, dict[TileExtent, int]] = {}
         self._owed = threading.local()
 
@@ -215,15 +207,15 @@ class SimulatedDevice:
         self._owed.s = owed
 
     def _read(self, scene: SceneRef, ext: TileExtent, ledger: ReadLedger, stage: str) -> None:
-        itemsize = DTYPES[scene.dtype].itemsize
-        ledger.record(scene.scene_id, stage, ext.w * ext.h * scene.bands * itemsize)
-        self._pause(self.cost_model.tile_cost_s(ext, scene.bands, itemsize))
+        nbytes = ext.w * ext.h * scene.bands * scene.np_dtype.itemsize
+        ledger.record(scene.scene_id, stage, nbytes)
+        self._pause(self.cost_model.service_s(ext.w, ext.h))
 
     def embed(self, scene: SceneRef, ext: TileExtent, ledger: ReadLedger) -> tuple[None, int]:
         self._read(scene, ext, ledger, STAGE_EMBED)
         plan = self._plans.get(scene.scene_id)
         if plan is None:  # threads racing here build equal plans
-            extents = tile_extents(scene, self.tile_px, self.overlap_px)
+            extents = tile_extents(scene, self.tile_px)
             plan = self._plans[scene.scene_id] = {e: j for j, e in enumerate(extents)}
         return None, plan[ext] % self.buckets
 
@@ -286,10 +278,10 @@ def run_pipeline(
 ) -> RunOutput:
     """Execute embed+assign, per-bucket inference, and per-scene merge on ``device``.
 
-    ``config`` gives ``workers``, ``batch``, ``tile_px``, ``overlap_px``,
-    ``task``, ``seed`` (the scheduler shuffle) and ``ticket_timeout_s``, and is
-    validated (``ConfigError``) before any thread starts; its ``feature_dim``
-    and ``n_bits`` are unused, as the device's artifacts fix both. ``pool``
+    ``config`` gives ``workers``, ``batch``, ``tile_px``, ``task``, ``seed``
+    (the scheduler shuffle) and ``ticket_timeout_s``, and is validated
+    (``ConfigError``) before any thread starts; its ``feature_dim`` and
+    ``n_bits`` are unused, as the device's artifacts fix both. ``pool``
     hands out the tickets. ``device`` is ``PipelineAssets`` for a real run or
     ``SimulatedDevice`` for a cost-model run. A bucket whose model lookup
     raises ``ModelGapError`` fails only that bucket's tiles; every scene it
@@ -302,7 +294,7 @@ def run_pipeline(
         raise PipelineError("no scenes to run")
     ledger = ledger if ledger is not None else ReadLedger()
     rng = random.Random(config.seed)
-    plans = [tile_extents(scene, config.tile_px, config.overlap_px) for scene in scenes]
+    plans = [tile_extents(scene, config.tile_px) for scene in scenes]
     metrics = RunMetrics(
         scenes=len(scenes),
         tiles=sum(len(p) for p in plans),
@@ -443,25 +435,19 @@ def predicted_wall_s(
     tile_px: int,
     workers: int,
     tickets_total: int,
-    overlap_px: int = 0,
-    merge_s_per_scene: float | None = None,
 ) -> float:
     """Analytic queue model for ``SimulatedDevice`` wall time.
 
     Stages A and B are a single pool-limited phase: their summed serial cost
     divided by min(workers, tickets_total). Merging is serial per scene and
-    parallel across scenes up to the worker count; its default per-scene cost
-    is the cost model's full-scene service time, matching ``SimulatedDevice.merge_pause``.
+    parallel across scenes up to the worker count; its per-scene cost is the
+    cost model's full-scene service time, matching ``SimulatedDevice.merge_pause``.
     """
     total = 0.0
     for scene in scenes:
-        itemsize = DTYPES[scene.dtype].itemsize
-        for ext in tile_extents(scene, tile_px, overlap_px):
-            total += 2.0 * cost_model.tile_cost_s(ext, scene.bands, itemsize)
-    if merge_s_per_scene is None:
-        merge_s_per_scene = max(
-            cost_model.service_s(s.width_px, s.height_px) for s in scenes
-        )
+        for ext in tile_extents(scene, tile_px):
+            total += 2.0 * cost_model.service_s(ext.w, ext.h)
+    merge_s = max(cost_model.service_s(s.width_px, s.height_px) for s in scenes)
     conc = min(workers, tickets_total)
     merge_conc = min(workers, len(scenes))
-    return total / conc + merge_s_per_scene * math.ceil(len(scenes) / merge_conc)
+    return total / conc + merge_s * math.ceil(len(scenes) / merge_conc)

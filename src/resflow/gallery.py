@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from urllib.parse import quote, unquote
 
-from .hashing import BinaryCode, CentroidTable, assign_bucket, hamming
+from .hashing import BinaryCode, CentroidTable, assign_bucket
 from .raster import TileExtent
 
 IMAGE_HEADER = "IGAL1"
@@ -70,11 +70,6 @@ class GalleryRecord:
     storage_path: str
     geo_bbox: tuple[float, float, float, float] | None = None
     acquired_at: str | None = None
-
-
-@dataclass
-class GalleryDiagnostics:
-    duplicates: int = 0
 
 
 def _check_token(value: str, what: str) -> str:
@@ -126,15 +121,13 @@ def line_to_record(line: str, n_bits: int) -> tuple[int, GalleryRecord]:
 
 
 class ImageGallery:
-    """Append-only tile index, queryable by bucket and by hamming radius."""
+    """Append-only tile index, queryable by bucket."""
 
     def __init__(self, path, n_bits: int | None = None, centroids: CentroidTable | None = None):
         self.path = Path(path)
         self.centroids = centroids
-        self.diagnostics = GalleryDiagnostics()
         self._records: list[GalleryRecord] = []
         self._by_bucket: dict[int, list[int]] = {}
-        self._seen: set = set()
         self._lock = threading.Lock()
         self._fh = None
         if self.path.exists():
@@ -165,10 +158,6 @@ class ImageGallery:
     def _index(self, rid: int, record: GalleryRecord):
         self._records.append(record)
         self._by_bucket.setdefault(record.bucket_id, []).append(rid)
-        key = record_to_line(0, record)
-        if key in self._seen:
-            self.diagnostics.duplicates += 1
-        self._seen.add(key)
 
     def insert(self, record: GalleryRecord) -> int:
         """Append one record; returns its monotone record_id."""
@@ -205,20 +194,6 @@ class ImageGallery:
     def query_by_bucket(self, bucket_id: int) -> list[GalleryRecord]:
         """All records of the bucket in insertion order; unknown bucket is empty."""
         return [self._records[rid] for rid in self._by_bucket.get(bucket_id, [])]
-
-    def query_radius(self, code: BinaryCode, r: int) -> list[GalleryRecord]:
-        """Records within hamming distance r, ordered by (distance, record_id)."""
-        if code.width != self.n_bits:
-            raise GalleryError(f"query width {code.width} != gallery n_bits {self.n_bits}")
-        if r > self.n_bits:
-            raise GalleryError(f"radius {r} exceeds n_bits {self.n_bits}")
-        hits = []
-        for rid, record in enumerate(self._records):
-            d = hamming(code, record.code)
-            if d <= r:
-                hits.append((d, rid))
-        hits.sort()
-        return [self._records[rid] for _, rid in hits]
 
     def close(self):
         with self._lock:

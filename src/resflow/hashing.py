@@ -88,7 +88,6 @@ class HashFunction:
 
     projections: np.ndarray
     thresholds: np.ndarray
-    seed: int | None = None
 
     def __post_init__(self):
         self.projections = np.asarray(self.projections, dtype=np.float64)
@@ -105,12 +104,6 @@ class HashFunction:
     @property
     def dim(self) -> int:
         return self.projections.shape[1]
-
-    def refit_thresholds(self, embeddings: np.ndarray) -> "HashFunction":
-        """Same directions, thresholds reset to the projection medians."""
-        E = np.asarray(embeddings, dtype=np.float64)
-        thr = np.median(E @ self.projections.T, axis=0)
-        return HashFunction(projections=self.projections.copy(), thresholds=thr, seed=self.seed)
 
 
 def encode(h: HashFunction, embedding: np.ndarray) -> BinaryCode:
@@ -231,7 +224,7 @@ def fit_hash(
         accepted_bits.append(B[:, chosen])
         projections[b] = C[chosen]
         thresholds[b] = thr[chosen]
-    return HashFunction(projections=projections, thresholds=thresholds, seed=seed)
+    return HashFunction(projections=projections, thresholds=thresholds)
 
 
 @dataclass(eq=False)
@@ -397,4 +390,4 @@ def load_hash(path) -> HashFunction:
         raise HashError(f"hash file {path} is {len(raw)} bytes, expected {need}")
     proj = np.frombuffer(raw, dtype="<f8", count=n_bits * dim, offset=12).reshape(n_bits, dim)
     thr = np.frombuffer(raw, dtype="<f8", count=n_bits, offset=12 + 8 * n_bits * dim)
-    return HashFunction(projections=proj.copy(), thresholds=thr.copy(), seed=None)
+    return HashFunction(projections=proj.copy(), thresholds=thr.copy())

@@ -282,22 +282,17 @@ def read_window(scene: SceneRef, extent: TileExtent, ledger: ReadLedger, stage: 
     return Tile(extent=extent, pixels=pixels)
 
 
-def grid_extents(scene_id: str, width: int, height: int, tile_px: int, overlap_px: int = 0) -> list[TileExtent]:
-    """Row-major tile grid covering a width x height rectangle exactly.
+def grid_extents(scene_id: str, width: int, height: int, tile_px: int) -> list[TileExtent]:
+    """Row-major tile grid covering a width x height rectangle exactly once.
 
     Interior tiles are tile_px square; tiles at the right/bottom boundary are
     clamped, never padded, which keeps split/merge an exact round trip.
     """
     if tile_px <= 0:
         raise RasterError(f"tile_px must be positive, got {tile_px}")
-    if overlap_px < 0 or overlap_px >= tile_px:
-        raise RasterError(f"overlap_px must be in [0, tile_px), got {overlap_px}")
-    step = tile_px - overlap_px
-    xs = list(range(0, max(width - overlap_px, 1), step))
-    ys = list(range(0, max(height - overlap_px, 1), step))
     extents = []
-    for y0 in ys:
-        for x0 in xs:
+    for y0 in range(0, height, tile_px):
+        for x0 in range(0, width, tile_px):
             extents.append(
                 TileExtent(
                     scene_id=scene_id,
@@ -310,15 +305,15 @@ def grid_extents(scene_id: str, width: int, height: int, tile_px: int, overlap_p
     return extents
 
 
-def tile_extents(scene: SceneRef, tile_px: int, overlap_px: int = 0) -> list[TileExtent]:
+def tile_extents(scene: SceneRef, tile_px: int) -> list[TileExtent]:
     """Plan the tile grid for a scene; deterministic row-major order."""
-    return grid_extents(scene.scene_id, scene.width_px, scene.height_px, tile_px, overlap_px)
+    return grid_extents(scene.scene_id, scene.width_px, scene.height_px, tile_px)
 
 
-def split_mask(scene_id: str, mask: Mask, tile_px: int, overlap_px: int = 0) -> list[tuple[TileExtent, Mask]]:
+def split_mask(scene_id: str, mask: Mask, tile_px: int) -> list[tuple[TileExtent, Mask]]:
     """Cut a mask into per-extent masks along the same grid used for scenes."""
     out = []
-    for ext in grid_extents(scene_id, mask.w, mask.h, tile_px, overlap_px):
+    for ext in grid_extents(scene_id, mask.w, mask.h, tile_px):
         block = mask.labels[ext.y0 : ext.y0 + ext.h, ext.x0 : ext.x0 + ext.w]
         out.append((ext, Mask(w=ext.w, h=ext.h, labels=block.copy())))
     return out
@@ -413,20 +408,6 @@ def write_bucket_sidecar(path, entries: list[tuple[TileExtent, str]]) -> None:
     ]
     with open(path, "w", encoding="ascii") as f:
         f.writelines(lines)
-
-
-def read_bucket_sidecar(path, scene_id: str) -> list[tuple[TileExtent, str]]:
-    out = []
-    with open(path, "r", encoding="ascii") as f:
-        for line in f:
-            parts = line.split()
-            if not parts:
-                continue
-            if len(parts) != 5:
-                raise RasterFormatError(f"malformed sidecar line in {path}: {line!r}")
-            x0, y0, w, h = (int(p) for p in parts[:4])
-            out.append((TileExtent(scene_id, x0, y0, w, h), parts[4]))
-    return out
 
 
 class SceneCatalog:

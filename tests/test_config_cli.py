@@ -47,7 +47,7 @@ class TestConfig:
 
     def test_validation(self):
         with pytest.raises(ConfigError):
-            load_config(overrides=["overlap_px=600"])
+            load_config(overrides=["tile_px=0"])
         with pytest.raises(ConfigError):
             load_config(overrides=["cluster_method=magic"])
 
@@ -201,6 +201,10 @@ def small_cli(command, ws, seed=5):
     return main([command, "-w", str(ws), *SMALL_WS, "--set", f"seed={seed}"])
 
 
+def small_bench(ws):
+    return main(["bench", "-w", str(ws), "--workers-list", "1", "--scene-counts", "1", *SMALL_WS])
+
+
 @pytest.fixture
 def small_partitioned(tmp_path):
     ws = tmp_path / "small"
@@ -220,6 +224,31 @@ class TestInferFailures:
         assert "model gap" in err
         assert "no scene of 1 produced a mask" in err
         assert "Traceback" not in err
+
+    def test_bench_with_an_unmapped_scene_is_4(self, small_partitioned, capsys):
+        # a bench row counts every scene's area, so a run that maps none has no row
+        ws = small_partitioned
+        assert small_cli("train", ws) == 0
+        assert small_cli("partition", ws, seed=6) == 0
+        capsys.readouterr()
+        assert small_bench(ws) == 4
+        err = capsys.readouterr().err
+        assert "model gap" in err
+        assert "no bench rows written" in err
+        assert "Traceback" not in err
+        assert not (ws / "bench.csv").exists()
+
+    @pytest.mark.parametrize("command", ["infer", "bench"])
+    def test_missing_model_gallery_is_3(self, small_partitioned, capsys, command):
+        # only train creates the model gallery
+        ws = small_partitioned
+        (ws / "models").mkdir()
+        capsys.readouterr()
+        assert (small_cli(command, ws) if command == "infer" else small_bench(ws)) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "model_gallery.mgal" in err
+        assert list((ws / "models").iterdir()) == []
+        assert not (ws / "infer").exists() and not (ws / "bench.csv").exists()
 
     @pytest.mark.parametrize(
         "name, content",
@@ -245,8 +274,7 @@ def test_workspace_path_with_space(tmp_path):
     for command in ("synth", "partition", "train", "infer"):
         assert small_cli(command, ws) == 0, command
     assert (ws / "infer" / "scene000.mask.rsr").exists()
-    bench = ["bench", "-w", str(ws), "--workers-list", "1", "--scene-counts", "1", *SMALL_WS]
-    assert main(bench) == 0
+    assert small_bench(ws) == 0
     assert len((ws / "bench.csv").read_text().splitlines()) == 2
 
 
@@ -260,7 +288,8 @@ class TestBenchCommand:
              "--set", "tile_px=100", "--set", "cost_base_ms=2", "--set", "batch=1"]
         )
         assert code == 0
-        rows = list(csv.DictReader(out.open()))
+        with out.open() as f:
+            rows = list(csv.DictReader(f))
         assert len(rows) == 8
         assert list(rows[0]) == [
             "workers", "scenes", "gb", "sqkm", "wall_s", "speedup",

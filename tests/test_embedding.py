@@ -5,7 +5,8 @@ from resflow.embedding import (
     KMEANS_RESTARTS,
     ClusterError,
     ClusterModel,
-    FeatureConfig,
+    HIST_BINS,
+    PER_BAND,
     extract_features,
     fit_clusters,
     intra_cluster_variance,
@@ -27,9 +28,8 @@ class TestFeatures:
     def test_constant_tile(self):
         tile = make_tile(np.full((6, 6, 3), 17, dtype=np.uint8))
         vec = extract_features(tile)
-        per = FeatureConfig().per_band()
         for b in range(3):
-            at = b * per
+            at = b * PER_BAND
             assert vec[at] == 17.0
             assert vec[at + 1] == 0.0
             hist = vec[at + 2 : at + 10]
@@ -62,30 +62,30 @@ class TestFeatures:
     def test_dim_too_small(self):
         tile = make_tile(np.zeros((4, 4, 3), dtype=np.uint8))
         with pytest.raises(ClusterError):
-            extract_features(tile, FeatureConfig(dim=8))
+            extract_features(tile, dim=8)
 
 
 _REF_FULL_SCALE = {"uint8": 256.0, "uint16": 65536.0, "float32": 1.0, "float64": 1.0}
 
 
-def reference_features(tile, config=FeatureConfig()):
+def reference_features(tile):
     """The all-float descriptor that extract_features must reproduce for every dtype."""
     px = tile.pixels
     full = _REF_FULL_SCALE.get(px.dtype.name, 1.0)
-    vec = np.zeros(config.dim, dtype=np.float64)
+    vec = np.zeros(48, dtype=np.float64)
     at = 0
     data = px.astype(np.float64)
     for b in range(px.shape[2]):
         band = data[:, :, b]
         vec[at] = band.mean()
         vec[at + 1] = band.std()
-        counts, _ = np.histogram(band, bins=config.hist_bins, range=(0.0, full))
-        vec[at + 2 : at + 2 + config.hist_bins] = counts / band.size
+        counts, _ = np.histogram(band, bins=HIST_BINS, range=(0.0, full))
+        vec[at + 2 : at + 2 + HIST_BINS] = counts / band.size
         dh = np.abs(np.diff(band, axis=1))
         dv = np.abs(np.diff(band, axis=0))
         npairs = dh.size + dv.size
-        vec[at + 2 + config.hist_bins] = (dh.sum() + dv.sum()) / npairs if npairs else 0.0
-        at += config.per_band()
+        vec[at + 2 + HIST_BINS] = (dh.sum() + dv.sum()) / npairs if npairs else 0.0
+        at += PER_BAND
     return vec
 
 
@@ -136,12 +136,6 @@ class TestFeatureExactness:
                 px = rng.random((h, w, 3)).astype(np.float32)
             tile = make_tile(px)
             assert extract_features(tile).tobytes() == reference_features(tile).tobytes()
-
-    def test_other_bin_counts_keep_float_path(self):
-        config = FeatureConfig(dim=80, hist_bins=16)
-        for tile in random_u8_tiles(50, seed=34):
-            got = extract_features(tile, config)
-            assert got.tobytes() == reference_features(tile, config).tobytes()
 
 
 class TestFitClusters:

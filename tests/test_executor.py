@@ -1,3 +1,5 @@
+import statistics
+
 import numpy as np
 import pytest
 
@@ -228,17 +230,22 @@ class TestRunPipelineSimulate:
         assert m.wall_s > 0 and m.stage_a_s > 0 and m.stage_b_s > 0
 
     def test_scaling_matches_queue_model(self):
-        # base 5 ms / 1 ms per megapixel, 12 scenes, sweep of worker counts
+        # base 5 ms / 1 ms per megapixel, 12 scenes, sweep of worker counts; the
+        # median of 3 runs per count, as one run can stall on a loaded host
         cost = DeviceCostModel(base_ms=5.0, ms_per_megapixel=1.0)
         scenes = make_virtual_scenes(12, 400, 400)
         for workers in (1, 4, 8, 16):
             config = RunConfig(workers=workers, batch=1, tile_px=100, seed=workers)
-            device = SimulatedDevice(cost, 6, tile_px=100)
-            m = run_pipeline(scenes, config, device, DevicePool(4, 2)).metrics
+            walls = [
+                run_pipeline(
+                    scenes, config, SimulatedDevice(cost, 6, tile_px=100), DevicePool(4, 2)
+                ).metrics.wall_s
+                for _ in range(3)
+            ]
             pred = predicted_wall_s(
                 scenes, cost, tile_px=100, workers=workers, tickets_total=8
             )
-            assert abs(m.wall_s - pred) / pred <= 0.15
+            assert abs(statistics.median(walls) - pred) / pred <= 0.15
 
     def test_ticket_log_is_clean(self):
         scenes = make_virtual_scenes(3, 128, 128)

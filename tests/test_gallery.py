@@ -14,7 +14,7 @@ from resflow.gallery import (
     UnknownBucketError,
     record_to_line,
 )
-from resflow.hashing import BinaryCode, CentroidTable, assign_bucket, hamming
+from resflow.hashing import BinaryCode, CentroidTable, assign_bucket
 from resflow.raster import TileExtent
 
 
@@ -46,7 +46,6 @@ class TestImageGallery:
             r = record_for(BinaryCode(0x0F, 8), table)
             assert g.insert(r) == 0
             assert g.insert(r) == 1
-            assert g.diagnostics.duplicates == 1
 
     def test_inconsistent_bucket_rejected(self, tmp_path, table):
         with ImageGallery(tmp_path / "g.igal", n_bits=8, centroids=table) as g:
@@ -94,42 +93,11 @@ class TestImageGallery:
             before = b"".join(
                 record_to_line(i, r).encode() for i, r in enumerate(g.query_by_bucket(1))
             )
-            radius_before = g.query_radius(BinaryCode(0x0F, 8), 3)
         with ImageGallery(path) as g:
             after = b"".join(
                 record_to_line(i, r).encode() for i, r in enumerate(g.query_by_bucket(1))
             )
             assert after == before
-            assert g.query_radius(BinaryCode(0x0F, 8), 3) == radius_before
-
-    def test_radius_matches_linear_scan(self, tmp_path, table):
-        rng = np.random.default_rng(1)
-        with ImageGallery(tmp_path / "g.igal", n_bits=8, centroids=table) as g:
-            records = []
-            for i in range(200):
-                r = record_for(BinaryCode(int(rng.integers(256)), 8), table, x0=i)
-                g.insert(r)
-                records.append(r)
-            for _ in range(20):
-                probe = BinaryCode(int(rng.integers(256)), 8)
-                radius = int(rng.integers(0, 9))
-                oracle = [
-                    (hamming(probe, r.code), i)
-                    for i, r in enumerate(records)
-                    if hamming(probe, r.code) <= radius
-                ]
-                oracle = [records[i] for _, i in sorted(oracle)]
-                assert g.query_radius(probe, radius) == oracle
-
-    def test_radius_bounds(self, tmp_path, table):
-        with ImageGallery(tmp_path / "g.igal", n_bits=8, centroids=table) as g:
-            g.insert(record_for(BinaryCode(0x0F, 8), table))
-            assert len(g.query_radius(BinaryCode(0x0F, 8), 0)) == 1
-            assert len(g.query_radius(BinaryCode(0x55, 8), 8)) == 1
-            with pytest.raises(GalleryError):
-                g.query_radius(BinaryCode(0, 8), 9)
-            with pytest.raises(GalleryError):
-                g.query_radius(BinaryCode(0, 4), 2)
 
     def test_whitespace_token_rejected(self, tmp_path, table):
         with ImageGallery(tmp_path / "g.igal", n_bits=8, centroids=table) as g:

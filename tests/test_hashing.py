@@ -135,14 +135,14 @@ class TestFitHash:
         assert np.array_equal(h1.thresholds, h2.thresholds)
 
     def test_scaling_invariance_of_assignments(self):
-        # positive rescale + median threshold refit keeps every assignment
+        # a hash fitted on positively rescaled points keeps every assignment
         points, labels = make_blobs(4, 40, seed=5)
         h = fit_hash(points, labels, n_bits=16, seed=0)
         codes = encode_many(h, points)
         table = bucket_centroids(codes, labels)
         before = [assign_bucket(c, table) for c in codes]
         scaled = points * 7.3
-        h2 = h.refit_thresholds(scaled)
+        h2 = fit_hash(scaled, labels, n_bits=16, seed=0)
         codes2 = encode_many(h2, scaled)
         table2 = bucket_centroids(codes2, labels)
         after = [assign_bucket(c, table2) for c in codes2]

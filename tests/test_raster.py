@@ -12,7 +12,6 @@ from resflow.raster import (
     SceneRef,
     TileExtent,
     WindowBoundsError,
-    grid_extents,
     load_scene_header,
     merge_tiles,
     read_mask,
@@ -150,19 +149,10 @@ class TestTileExtents:
                 cover[e.y0 : e.y0 + e.h, e.x0 : e.x0 + e.w] += 1
             assert (cover == 1).all()
 
-    def test_overlap_covers(self):
-        exts = grid_extents("s", 100, 100, 40, 10)
-        cover = np.zeros((100, 100), dtype=int)
-        for e in exts:
-            cover[e.y0 : e.y0 + e.h, e.x0 : e.x0 + e.w] += 1
-        assert (cover >= 1).all()
-
     def test_bad_args(self):
         scene = SceneRef("s", "p", 10, 10, 1, "u8", 0.5)
         with pytest.raises(RasterError):
             tile_extents(scene, 0)
-        with pytest.raises(RasterError):
-            tile_extents(scene, 5, 5)
 
     def test_deterministic(self):
         scene = SceneRef("s", "p", 333, 222, 1, "u8", 0.5)
