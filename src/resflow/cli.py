@@ -6,7 +6,8 @@ Commands operate on a workspace directory with a fixed layout:
     <ws>/partition/   hash.hsh1, centroids.txt, image_gallery.igal, bucket_counts.txt
     <ws>/models/      model_gallery.mgal plus per-bucket artifacts
     <ws>/<out>/       masks, bucket sidecars, image_gallery.igal (the run's tiles),
-                      metrics.json (infer; default "infer")
+                      metrics.json (infer; default "infer"; written only when a
+                      scene was mapped, and counting mapped scenes only)
 
 Every command reads one ``RunConfig``. ``feature_dim`` and ``n_bits`` apply
 at ``partition`` only, which writes them into the hash and centroid files;
@@ -283,8 +284,8 @@ def cmd_infer(config: RunConfig, workspace, out_name="infer", event_log=None, wo
     out_dir = paths["root"] / out_name
     out_dir.mkdir(parents=True, exist_ok=True)
     run_gallery_path = out_dir / "image_gallery.igal"
-    if run_gallery_path.exists():
-        run_gallery_path.unlink()
+    run_gallery_path.unlink(missing_ok=True)
+    (out_dir / "metrics.json").unlink(missing_ok=True)
     pool = DevicePool(config.devices, config.tickets_per_device)
     ledger = ReadLedger()
     with registry, ImageGallery(
@@ -305,14 +306,14 @@ def cmd_infer(config: RunConfig, workspace, out_name="infer", event_log=None, wo
         write_mask(out_dir / f"{scene.scene_id}.mask.rsr", mask, scene.gsd_m, scene.scene_id)
         entries = [(ext, centroid_hex[bucket]) for ext, bucket in mask.provenance.items()]
         write_bucket_sidecar(out_dir / f"{scene.scene_id}.buckets.txt", entries)
-    metrics = result.metrics.finalize()
-    (out_dir / "metrics.json").write_text(metrics.to_json(), encoding="ascii")
     if event_log:
         pool.write_event_log(event_log)
     _warn_failures(result)
     if not result.masks:
         print(f"pipeline error: no scene of {len(scenes)} produced a mask", file=sys.stderr)
         return EXIT_PIPELINE
+    metrics = result.metrics.finalize()
+    (out_dir / "metrics.json").write_text(metrics.to_json(), encoding="ascii")
     print(f"wrote {len(result.masks)} masks and metrics.json to {out_dir}")
     return EXIT_OK
 
@@ -358,7 +359,7 @@ def cmd_bench(config: RunConfig, workspace, workers_list, scene_counts, out_path
             pool = DevicePool(config.devices, config.tickets_per_device)
             result = run_pipeline(scenes, replace(config, workers=workers), device, pool)
             _warn_failures(result)
-            # A row counts the area of every scene, so a run that left one unmapped has no row.
+            # A row stands for all n_scenes scenes, so a run that left one unmapped has no row.
             if len(result.masks) < n_scenes:
                 print(
                     f"pipeline error: {n_scenes - len(result.masks)} of {n_scenes} scenes "

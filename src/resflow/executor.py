@@ -285,9 +285,10 @@ def run_pipeline(
     hands out the tickets. ``device`` is ``PipelineAssets`` for a real run or
     ``SimulatedDevice`` for a cost-model run. A bucket whose model lookup
     raises ``ModelGapError`` fails only that bucket's tiles; every scene it
-    touches is reported in ``failures`` and left unmerged. Any other error
-    stops the run: tasks not yet started are dropped, running ones finish and
-    return their tickets, and the error is re-raised.
+    touches is reported in ``failures``, left unmerged and left out of the
+    metrics' scene, tile and area counts. Any other error stops the run:
+    tasks not yet started are dropped, running ones finish and return their
+    tickets, and the error is re-raised.
     """
     config.validate()
     if not scenes:
@@ -295,11 +296,7 @@ def run_pipeline(
     ledger = ledger if ledger is not None else ReadLedger()
     rng = random.Random(config.seed)
     plans = [tile_extents(scene, config.tile_px) for scene in scenes]
-    metrics = RunMetrics(
-        scenes=len(scenes),
-        tiles=sum(len(p) for p in plans),
-        area_sqkm=sum(scene_area_sqkm(s) for s in scenes),
-    )
+    metrics = RunMetrics()
     t_start = time.perf_counter()
 
     # Stage A: embed, encode, assign; one ticket per batch.
@@ -397,6 +394,11 @@ def run_pipeline(
     metrics.stage_c_s = t_c - t_b
     metrics.wall_s = t_c - t_start
     metrics.bytes_read = ledger.bytes_read
+    # Scene, tile and area counts cover the merged scenes only.
+    mapped = [si for si, scene in enumerate(scenes) if scene.scene_id in masks]
+    metrics.scenes = len(mapped)
+    metrics.tiles = sum(len(plans[si]) for si in mapped)
+    metrics.area_sqkm = sum(scene_area_sqkm(scenes[si]) for si in mapped)
     for si, scene in enumerate(scenes):
         n = len(plans[si])
         passes = (

@@ -1,9 +1,9 @@
 """Scene references, windowed raster I/O, tile planning, and mask merging.
 
-Rasters live in a small seekable container (magic ``RSR1``) so a rectangular
-window can be read without touching the rest of the file. Scenes are handled
-through path-carrying references plus windowed reads; nothing here loads a
-full scene unless the window spans it.
+Rasters live in a small seekable container (magic ``RSR1``); a window read
+touches only the window's byte span, its first sample through its last.
+Scenes are handled through path-carrying references plus windowed reads;
+nothing here loads a full scene unless the window spans it.
 
 Container layout, bit-exact:
 
@@ -244,41 +244,38 @@ def load_scene_header(path, scene_id: str | None = None) -> SceneRef:
     return ref
 
 
-def _header_end(path) -> int:
-    with open(path, "rb") as f:
-        f.read(len(MAGIC))
-        f.readline()
-        return f.tell()
-
-
 def read_window(scene: SceneRef, extent: TileExtent, ledger: ReadLedger, stage: str) -> Tile:
-    """Materialize one window, reading only the requested rows and columns.
+    """Materialize one window with one ``open`` and one ``os.pread``.
 
-    Every call increments the ledger cell for (scene_id, stage).
+    The handle skips the two header lines; one positional read then fetches
+    the window's byte span, its first sample through its last, and the rows
+    are copied out of it through a strided view. A file cut short after
+    ``load_scene_header`` raises ``RasterFormatError`` exactly when the span
+    reaches a missing byte; a window wholly before the cut still reads.
+    Every call records the window's own bytes for (scene_id, stage).
     """
     if extent.scene_id != scene.scene_id:
         raise RasterError(f"extent scene {extent.scene_id!r} != scene {scene.scene_id!r}")
     if extent.x0 + extent.w > scene.width_px or extent.y0 + extent.h > scene.height_px:
         raise WindowBoundsError(f"window {extent} exceeds scene {scene.width_px}x{scene.height_px}")
     dt = scene.np_dtype
-    row_samples = extent.w * scene.bands
-    row_bytes = row_samples * dt.itemsize
-    stride = scene.width_px * scene.bands * dt.itemsize
-    start = _header_end(scene.path)
-    out = np.empty((extent.h, row_samples), dtype=dt)
+    pixel = scene.bands * dt.itemsize
+    stride = scene.width_px * pixel
+    span = (extent.h - 1) * stride + extent.w * pixel
+    shape = (extent.h, extent.w, scene.bands)
+    # Allocated before the span, so freeing the span leaves no heap hole under a live array.
+    pixels = np.empty(shape, dt)
     with open(scene.path, "rb") as f:
-        for i in range(extent.h):
-            y = extent.y0 + i
-            off = start + y * stride + (extent.x0 * scene.bands) * dt.itemsize
-            f.seek(off)
-            buf = f.read(row_bytes)
-            if len(buf) != row_bytes:
-                raise RasterFormatError(f"truncated pixel data in {scene.path} at row {y}")
-            out[i] = np.frombuffer(buf, dtype=dt)
-    pixels = out.reshape(extent.h, extent.w, scene.bands)
+        f.read(len(MAGIC))
+        f.readline()
+        offset = f.tell() + extent.y0 * stride + extent.x0 * pixel
+        buf = os.pread(f.fileno(), span, offset)
+    if len(buf) != span:
+        raise RasterFormatError(f"truncated pixel data in {scene.path} in window {extent}")
+    pixels[...] = np.ndarray(shape, dt, buf, strides=(stride, pixel, dt.itemsize))
     if scene.dtype == "f32" and not np.isfinite(pixels).all():
         raise RasterError(f"non-finite samples in window {extent} of {scene.scene_id}")
-    ledger.record(scene.scene_id, stage, extent.h * row_bytes)
+    ledger.record(scene.scene_id, stage, pixels.nbytes)
     return Tile(extent=extent, pixels=pixels)
 
 

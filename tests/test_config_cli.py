@@ -217,6 +217,7 @@ class TestInferFailures:
     def test_no_mask_after_repartition_is_4(self, small_partitioned, capsys):
         ws = small_partitioned
         assert small_cli("train", ws) == 0
+        assert small_cli("infer", ws) == 0  # leaves a metrics.json the failed run must remove
         assert small_cli("partition", ws, seed=6) == 0
         capsys.readouterr()
         assert small_cli("infer", ws, seed=6) == 4
@@ -224,9 +225,10 @@ class TestInferFailures:
         assert "model gap" in err
         assert "no scene of 1 produced a mask" in err
         assert "Traceback" not in err
+        assert not (ws / "infer" / "metrics.json").exists()
 
     def test_bench_with_an_unmapped_scene_is_4(self, small_partitioned, capsys):
-        # a bench row counts every scene's area, so a run that maps none has no row
+        # a bench row stands for every scene it lists, so a run that maps none has no row
         ws = small_partitioned
         assert small_cli("train", ws) == 0
         assert small_cli("partition", ws, seed=6) == 0

@@ -27,6 +27,7 @@ from resflow.raster import (
     ReadLedger,
     TileExtent,
     read_window,
+    scene_area_sqkm,
     tile_extents,
     write_scene,
 )
@@ -213,6 +214,25 @@ class TestRunPipelineReal:
             assert any("model gap" in p for p in problems)
         for scene in scenes:
             assert scene.scene_id in out.masks or scene.scene_id in out.failures
+
+    def test_model_gap_counts_only_merged_scenes(self, tmp_path):
+        # the same assets, on scenes of one texture class each, so the gap
+        # fails one scene and the other two merge
+        tiles, labels = make_texture_tiles(3, 30, tile_px=32, seed=4, with_buildings=True)
+        hash_fn, table, registry = build_assets(tmp_path, tiles, labels, skip_bucket=1)
+        blocks, classes = make_texture_tiles(3, 4, tile_px=64, seed=9, with_buildings=True)
+        scenes = []
+        for c in range(3):
+            q = [b.pixels for b, label in zip(blocks, classes) if label == c]
+            pixels = np.concatenate([np.concatenate(q[:2], 1), np.concatenate(q[2:], 1)], 0)
+            scenes.append(write_scene(tmp_path / f"c{c}.rsr", pixels, 0.5, f"c{c}"))
+        out = run_once(tmp_path, hash_fn, table, registry, scenes, workers=2)
+        merged = [s for s in scenes if s.scene_id in out.masks]
+        assert out.failures and merged
+        m = out.metrics
+        assert m.scenes == len(merged)
+        assert m.tiles == 4 * len(merged)  # 128 px scenes in 64 px tiles
+        assert m.area_sqkm == pytest.approx(sum(scene_area_sqkm(s) for s in merged))
 
 
 class TestRunPipelineSimulate:

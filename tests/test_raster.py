@@ -1,8 +1,13 @@
+import os
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from resflow import raster
 from resflow.raster import (
     MissingTilesError,
     RasterError,
@@ -117,6 +122,119 @@ class TestReadWindow:
         ref = write_scene(tmp_path / "rgb.rsr", pixels, 0.5)
         tile = read_window(ref, TileExtent("rgb", 2, 3, 4, 5), ReadLedger(), "x")
         assert np.array_equal(tile.pixels, pixels[3:8, 2:6, :])
+
+    @pytest.mark.parametrize(
+        "x0, y0, w, h",
+        [(2, 3, 5, 1), (4, 1, 1, 6), (1, 2, 4, 3), (0, 0, 7, 8)],
+        ids=["one-row", "one-column", "interior", "full-scene"],
+    )
+    def test_one_open_and_one_pread_per_window(self, tmp_path, monkeypatch, x0, y0, w, h):
+        rng = np.random.default_rng(5)
+        pixels = rng.integers(0, 65535, size=(8, 7, 2), dtype=np.uint16)
+        ref = write_scene(tmp_path / "s.rsr", pixels, 0.5)
+        calls = {"open": 0, "pread": 0}
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapped
+
+        monkeypatch.setattr(raster, "open", counting("open", open), raising=False)
+        monkeypatch.setattr(os, "pread", counting("pread", os.pread))
+        tile = read_window(ref, TileExtent("s", x0, y0, w, h), ReadLedger(), "embed")
+        assert calls == {"open": 1, "pread": 1}
+        assert np.array_equal(tile.pixels, pixels[y0 : y0 + h, x0 : x0 + w])
+
+
+def write_random_scene(path, rng, dtype, w, h, bands, nan=False):
+    if dtype == "f32":
+        pixels = rng.normal(0, 100, size=(h, w, bands)).astype(np.float32)
+        if nan:
+            pixels[rng.integers(h), rng.integers(w), rng.integers(bands)] = np.nan
+    else:
+        top = 255 if dtype == "u8" else 65535
+        pixels = rng.integers(0, top + 1, size=(h, w, bands)).astype(raster.DTYPES[dtype])
+    write_scene(path, pixels, 0.5, scene_id="s")
+    return load_scene_header(path, scene_id="s")
+
+
+def all_windows(w, h):
+    for y0 in range(h):
+        for x0 in range(w):
+            for wh in range(1, h - y0 + 1):
+                for ww in range(1, w - x0 + 1):
+                    yield TileExtent("s", x0, y0, ww, wh)
+
+
+def check_cut_file(path, ref, cut):
+    """Read every window of a scene before and after cutting its file at ``cut`` bytes.
+
+    A window whose last byte lies before the cut reads as it did uncut (the
+    same array, or the same non-finite error); every other window raises
+    RasterFormatError.
+    """
+    data_start = Path(path).stat().st_size - ref.nbytes
+    pixel = ref.bands * ref.np_dtype.itemsize
+    uncut = {}
+    for ext in all_windows(ref.width_px, ref.height_px):
+        try:
+            uncut[ext] = read_window(ref, ext, ReadLedger(), "x").pixels
+        except RasterError as e:
+            assert "non-finite" in str(e)  # a NaN sample in an f32 window
+            uncut[ext] = None
+    os.truncate(path, cut)
+    for ext, expected in uncut.items():
+        last = data_start + (ext.y0 + ext.h - 1) * ref.width_px * pixel + (ext.x0 + ext.w) * pixel
+        if last > cut:
+            with pytest.raises(RasterFormatError, match="truncated"):
+                read_window(ref, ext, ReadLedger(), "x")
+        elif expected is None:
+            with pytest.raises(RasterError, match="non-finite"):
+                read_window(ref, ext, ReadLedger(), "x")
+        else:
+            assert np.array_equal(read_window(ref, ext, ReadLedger(), "x").pixels, expected)
+
+
+class TestCutFile:
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("dtype", ["u8", "u16", "f32"])
+    def test_cut_after_header(self, tmp_path, dtype, seed):
+        rng = np.random.default_rng(seed)
+        w, h, bands = (int(v) for v in rng.integers(1, 6, size=3))
+        path = tmp_path / "s.rsr"
+        ref = write_random_scene(path, rng, dtype, w, h, bands)
+        size = path.stat().st_size
+        check_cut_file(path, ref, int(rng.integers(size - ref.nbytes, size)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        dtype=st.sampled_from(["u8", "u16", "f32"]),
+        w=st.integers(1, 5),
+        h=st.integers(1, 5),
+        bands=st.integers(1, 3),
+        nan=st.booleans(),
+        seed=st.integers(0, 2**16),
+        data=st.data(),
+    )
+    def test_cut_at_any_byte(self, dtype, w, h, bands, nan, seed, data):
+        with tempfile.TemporaryDirectory() as d:
+            path = Path(d) / "s.rsr"
+            ref = write_random_scene(path, np.random.default_rng(seed), dtype, w, h, bands, nan)
+            cut = data.draw(st.integers(0, path.stat().st_size - 1), label="cut")
+            check_cut_file(path, ref, cut)
+
+    def test_nan_window_raises(self, tmp_path):
+        pixels = np.ones((4, 5, 2), dtype=np.float32)
+        pixels[2, 3, 1] = np.nan
+        ref = write_scene(tmp_path / "f.rsr", pixels, 0.5, scene_id="s")
+        ledger = ReadLedger()
+        with pytest.raises(RasterError, match="non-finite"):
+            read_window(ref, TileExtent("s", 3, 1, 2, 2), ledger, "x")
+        tile = read_window(ref, TileExtent("s", 0, 0, 3, 4), ledger, "x")
+        assert np.array_equal(tile.pixels, pixels[:, :3])
+        assert ledger.count("s", "x") == 1
 
 
 class TestTileExtents:
