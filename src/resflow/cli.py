@@ -7,7 +7,9 @@ Commands operate on a workspace directory with a fixed layout:
     <ws>/models/      model_gallery.mgal plus per-bucket artifacts
     <ws>/<out>/       masks, bucket sidecars, image_gallery.igal (the run's tiles),
                       metrics.json (infer; default "infer"; written only when a
-                      scene was mapped, and counting mapped scenes only)
+                      scene was mapped, and counting mapped scenes only); infer
+                      first removes these files of every catalog scene, so each
+                      holds this run's output or is absent
 
 Every command reads one ``RunConfig``. ``feature_dim`` and ``n_bits`` apply
 at ``partition`` only, which writes them into the hash and centroid files;
@@ -127,15 +129,19 @@ def _warn_failures(result) -> None:
 
 
 def _scan_embeddings(catalog, config: RunConfig, stage: str):
-    """Row-major descriptor pass over every tile of every scene."""
+    """Row-major descriptor pass over every tile of every scene.
+
+    Windows are read and described ``config.batch`` at a time, so no scene is
+    held in memory whole.
+    """
     ledger = ReadLedger()
-    keys, rows = [], []
-    for scene in catalog:
-        for ext in tile_extents(scene, config.tile_px):
-            tile = read_window(scene, ext, ledger, stage)
-            keys.append((scene, ext))
-            rows.append(extract_features(tile, config.feature_dim))
-    return keys, np.array(rows)
+    keys = [(scene, ext) for scene in catalog for ext in tile_extents(scene, config.tile_px)]
+    rows = np.empty((len(keys), config.feature_dim))
+    for i in range(0, len(keys), config.batch):
+        chunk = keys[i : i + config.batch]
+        tiles = [read_window(scene, ext, ledger, stage) for scene, ext in chunk]
+        rows[i : i + len(chunk)] = extract_features(tiles, config.feature_dim)
+    return keys, rows
 
 
 def cmd_synth(config: RunConfig, workspace) -> int:
@@ -285,7 +291,11 @@ def cmd_infer(config: RunConfig, workspace, out_name="infer", event_log=None, wo
     out_dir.mkdir(parents=True, exist_ok=True)
     run_gallery_path = out_dir / "image_gallery.igal"
     run_gallery_path.unlink(missing_ok=True)
+    # Outputs of an earlier run go first, so a scene this run does not map leaves none.
     (out_dir / "metrics.json").unlink(missing_ok=True)
+    for scene in scenes:
+        (out_dir / f"{scene.scene_id}.mask.rsr").unlink(missing_ok=True)
+        (out_dir / f"{scene.scene_id}.buckets.txt").unlink(missing_ok=True)
     pool = DevicePool(config.devices, config.tickets_per_device)
     ledger = ReadLedger()
     with registry, ImageGallery(

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 from scipy.cluster.hierarchy import fcluster, linkage
@@ -23,6 +24,8 @@ _FULL_SCALE = {"uint8": 256.0, "uint16": 65536.0, "float32": 1.0, "float64": 1.0
 # Descriptor slots per band: mean, std, HIST_BINS histogram bins, gradient energy.
 HIST_BINS = 8
 PER_BAND = 2 + HIST_BINS + 1
+# Samples per band in one stacked u8 descriptor group: one 256x256 band.
+GROUP_PIXELS = 256 * 256
 # k-means++ starts per k-means fit; the knee scores the same fit that partition writes.
 KMEANS_RESTARTS = 3
 
@@ -31,53 +34,92 @@ class ClusterError(ValueError):
     """Invalid clustering request or degenerate input."""
 
 
-def extract_features(tile: Tile, dim: int = 48) -> np.ndarray:
-    """Deterministic per-tile descriptor of ``dim`` slots.
+def extract_features(tiles: Tile | list[Tile], dim: int = 48) -> np.ndarray:
+    """Deterministic descriptors of ``dim`` slots: ``(n, dim)`` for a sequence of tiles.
 
-    Per band: mean, std, normalized intensity histogram, and the mean absolute
-    finite difference pooled over the horizontal and vertical directions
-    (gradient energy); unused slots are zero. Byte-identical tiles give
-    byte-identical vectors.
+    A single ``Tile`` gives its ``(dim,)`` row of the same kernel. Per band:
+    mean, std, normalized intensity histogram, and the mean absolute finite
+    difference pooled over the horizontal and vertical directions (gradient
+    energy); unused slots are zero. Byte-identical tiles give byte-identical
+    rows, and a row does not depend on the other tiles of the call.
 
-    u8 tiles take an integer path for the histogram (``px >> 5`` counted by
-    ``bincount``) and the gradient energy (int16 differences summed in
-    int64). Every count and partial sum there is an integer below 2**53, so
-    the float path would compute the same sums exactly and the output is
-    identical; mean and std always take the float path.
+    Consecutive u8 tiles of one shape are stacked band-major and described
+    together, at most ``GROUP_PIXELS`` samples per band at a time, so one
+    call's float64 temporaries never exceed one 256x256 band and a 256-px
+    tile is described alone. For pixel blocks in C order, as ``read_window``
+    returns them, each row equals the all-float descriptor byte for byte. The
+    mean, the ``px >> 5`` histogram and the gradient energy (int16
+    differences) come from integer sums below 2**53, which the float path
+    also computes exactly. The std sums each tile's squared deviations over
+    its own contiguous ``h*w`` plane: the same sequence in the same order as
+    ``ndarray.std``, whose deviation array is a fresh C-contiguous copy of
+    the band. u16 and f32 tiles take the float path one at a time.
     """
-    px = tile.pixels
-    if px.size == 0:
-        raise ClusterError("empty tile")
-    full = _FULL_SCALE.get(px.dtype.name, 1.0)
-    bands = px.shape[2]
-    need = bands * PER_BAND
-    if need > dim:
-        raise ClusterError(f"descriptor needs {need} slots, dim is {dim}")
-    integer_path = px.dtype == np.uint8
-    vec = np.zeros(dim, dtype=np.float64)
-    at = 0
-    data = px.astype(np.float64)
-    for b in range(bands):
-        band = data[:, :, b]
-        vec[at] = band.mean()
-        vec[at + 1] = band.std()
-        hist = slice(at + 2, at + 2 + HIST_BINS)
-        if integer_path:
-            ints = px[:, :, b]
-            vec[hist] = np.bincount((ints >> 5).ravel(), minlength=HIST_BINS) / band.size
-            ints = ints.astype(np.int16)
-            grad = int(np.abs(np.diff(ints, axis=1)).sum(dtype=np.int64))
-            grad += int(np.abs(np.diff(ints, axis=0)).sum(dtype=np.int64))
+    if isinstance(tiles, Tile):
+        return extract_features([tiles], dim)[0]
+    out = np.zeros((len(tiles), dim), dtype=np.float64)
+    row = 0
+    for (dtype, shape), run in groupby((t.pixels for t in tiles), key=lambda p: (p.dtype, p.shape)):
+        run = list(run)
+        if run[0].size == 0:
+            raise ClusterError("empty tile")
+        need = shape[2] * PER_BAND
+        if need > dim:
+            raise ClusterError(f"descriptor needs {need} slots, dim is {dim}")
+        if dtype == np.uint8:
+            step = max(1, GROUP_PIXELS // (shape[0] * shape[1]))
+            for k in range(0, len(run), step):
+                group = run[k : k + step]
+                _describe_u8(group, out[row + k : row + k + len(group)])
         else:
-            counts, _ = np.histogram(band, bins=HIST_BINS, range=(0.0, full))
-            vec[hist] = counts / band.size
-            dh = np.abs(np.diff(band, axis=1))
-            dv = np.abs(np.diff(band, axis=0))
-            grad = dh.sum() + dv.sum()
-        npairs = (px.shape[1] - 1) * px.shape[0] + (px.shape[0] - 1) * px.shape[1]
-        vec[at + 2 + HIST_BINS] = float(grad) / npairs if npairs else 0.0
-        at += PER_BAND
-    return vec
+            for k, px in enumerate(run):
+                _describe_float(px, out[row + k])
+        row += len(run)
+    return out
+
+
+def _describe_u8(pixels: list[np.ndarray], out: np.ndarray) -> None:
+    """Rows for same-shape u8 tiles, written into ``out``; one band at a time."""
+    n = len(pixels)
+    h, w, bands = pixels[0].shape
+    size = h * w
+    npairs = (w - 1) * h + (h - 1) * w
+    # (bands, n, h, w) in C order: each tile's band is one contiguous plane.
+    planes = np.stack(pixels).transpose(3, 0, 1, 2).copy()
+    offsets = np.arange(0, n * HIST_BINS, HIST_BINS)[:, None]
+    for b in range(bands):
+        at = b * PER_BAND
+        plane = planes[b].reshape(n, size)
+        mean = plane.sum(axis=1, dtype=np.int64) / size
+        out[:, at] = mean
+        dev = plane.astype(np.float64)
+        dev -= mean[:, None]
+        dev *= dev
+        out[:, at + 1] = np.sqrt(dev.sum(axis=1) / size)
+        counts = np.bincount(((plane >> 5) + offsets).ravel(), minlength=n * HIST_BINS)
+        out[:, at + 2 : at + 2 + HIST_BINS] = counts.reshape(n, HIST_BINS) / size
+        if npairs:
+            ints = planes[b].astype(np.int16)
+            grad = np.abs(np.diff(ints, axis=2)).sum(axis=(1, 2), dtype=np.int64)
+            grad += np.abs(np.diff(ints, axis=1)).sum(axis=(1, 2), dtype=np.int64)
+            out[:, at + 2 + HIST_BINS] = grad / npairs
+
+
+def _describe_float(px: np.ndarray, out: np.ndarray) -> None:
+    """One tile's row through float64, written into ``out``."""
+    full = _FULL_SCALE.get(px.dtype.name, 1.0)
+    data = px.astype(np.float64)
+    for b in range(px.shape[2]):
+        at = b * PER_BAND
+        band = data[:, :, b]
+        out[at] = band.mean()
+        out[at + 1] = band.std()
+        counts, _ = np.histogram(band, bins=HIST_BINS, range=(0.0, full))
+        out[at + 2 : at + 2 + HIST_BINS] = counts / band.size
+        dh = np.abs(np.diff(band, axis=1))
+        dv = np.abs(np.diff(band, axis=0))
+        npairs = dh.size + dv.size
+        out[at + 2 + HIST_BINS] = (dh.sum() + dv.sum()) / npairs if npairs else 0.0
 
 
 @dataclass(eq=False)

@@ -1,17 +1,17 @@
 """Three-stage pipeline over a fixed worker pool, run against a device.
 
-Stage layout per scene: (A) window read, descriptor, hash encode, bucket
-assignment, gallery insert; (B) per-bucket batched inference on a second
-window read; (C) single-worker merge into the full-scene mask. A tile enters
-stage B only after its stage-A assignment exists, and a scene merges only
-after all its tiles finish B; the engine runs A, B, C as barriered phases,
-which satisfies both constraints and keeps the read ledger exactly at two
-passes per scene.
+Stage layout per scene: (A) window reads, one descriptor call per chunk,
+hash encode, bucket assignment, gallery insert; (B) per-bucket batched
+inference on a second window read; (C) single-worker merge into the
+full-scene mask. A tile enters stage B only after its stage-A assignment
+exists, and a scene merges only after all its tiles finish B; the engine
+runs A, B, C as barriered phases, which satisfies both constraints and keeps
+the read ledger exactly at two passes per scene.
 
 The device is the only thing that differs between a real run and a
 cost-model run. It offers four calls, which the stages make without branching:
 
-    embed(scene, ext, ledger) -> (code, bucket)
+    embed(scene, exts, ledger) -> [(code, bucket)], one per extent
     model(bucket, task) -> model, or ModelGapError
     label(model, scene, ext, ledger) -> Mask
     merge_pause(scene)
@@ -150,7 +150,11 @@ def group_by_scene(results) -> dict[str, list[tuple[TileExtent, Mask]]]:
 class PipelineAssets:
     """Fitted artifacts: the device of a real run.
 
-    Tiles are described at the hash's input width. Its calls resolve
+    ``embed`` reads a stage-A chunk's windows one by one and describes the
+    chunk in one ``extract_features`` call at the hash's input width; its
+    rows equal the per-tile descriptors byte for byte, and its float64
+    temporaries stay within one 256x256 band (see ``extract_features``).
+    Each row is then encoded and assigned on its own. The calls resolve
     ``read_window``, ``extract_features``, ``encode``, ``assign_bucket`` and
     ``load_model`` through this module's globals, so a tracer that replaces
     those names here sees every call.
@@ -161,10 +165,12 @@ class PipelineAssets:
     model_gallery: ModelGallery
     image_gallery: ImageGallery | None = None
 
-    def embed(self, scene: SceneRef, ext: TileExtent, ledger: ReadLedger) -> tuple[BinaryCode, int]:
-        tile = read_window(scene, ext, ledger, STAGE_EMBED)
-        code = encode(self.hash_fn, extract_features(tile, self.hash_fn.dim))
-        return code, assign_bucket(code, self.centroids)
+    def embed(
+        self, scene: SceneRef, exts: list[TileExtent], ledger: ReadLedger
+    ) -> list[tuple[BinaryCode, int]]:
+        tiles = [read_window(scene, ext, ledger, STAGE_EMBED) for ext in exts]
+        codes = [encode(self.hash_fn, row) for row in extract_features(tiles, self.hash_fn.dim)]
+        return [(code, assign_bucket(code, self.centroids)) for code in codes]
 
     def model(self, bucket: int, task: str) -> BucketModel:
         record = self.model_gallery.lookup(self.centroids.codes[bucket], task)
@@ -211,13 +217,16 @@ class SimulatedDevice:
         ledger.record(scene.scene_id, stage, nbytes)
         self._pause(self.cost_model.service_s(ext.w, ext.h))
 
-    def embed(self, scene: SceneRef, ext: TileExtent, ledger: ReadLedger) -> tuple[None, int]:
-        self._read(scene, ext, ledger, STAGE_EMBED)
+    def embed(
+        self, scene: SceneRef, exts: list[TileExtent], ledger: ReadLedger
+    ) -> list[tuple[None, int]]:
         plan = self._plans.get(scene.scene_id)
         if plan is None:  # threads racing here build equal plans
             extents = tile_extents(scene, self.tile_px)
             plan = self._plans[scene.scene_id] = {e: j for j, e in enumerate(extents)}
-        return None, plan[ext] % self.buckets
+        for ext in exts:
+            self._read(scene, ext, ledger, STAGE_EMBED)
+        return [(None, plan[ext] % self.buckets) for ext in exts]
 
     def model(self, bucket: int, task: str) -> None:
         return None
@@ -299,7 +308,7 @@ def run_pipeline(
     metrics = RunMetrics()
     t_start = time.perf_counter()
 
-    # Stage A: embed, encode, assign; one ticket per batch.
+    # Stage A: embed, encode, assign; one ticket and one embed call per batch.
     a_tasks = []
     for si, plan in enumerate(plans):
         for chunk in _chunks(plan, config.batch):
@@ -310,7 +319,8 @@ def run_pipeline(
         si, chunk = payload
         ticket = pool.checkout(worker_id, timeout=config.ticket_timeout_s)
         try:
-            return [(si, ext, *device.embed(scenes[si], ext, ledger)) for ext in chunk]
+            embedded = device.embed(scenes[si], chunk, ledger)
+            return [(si, ext, code, bucket) for ext, (code, bucket) in zip(chunk, embedded)]
         finally:
             pool.return_ticket(ticket)
 

@@ -217,7 +217,9 @@ class TestInferFailures:
     def test_no_mask_after_repartition_is_4(self, small_partitioned, capsys):
         ws = small_partitioned
         assert small_cli("train", ws) == 0
-        assert small_cli("infer", ws) == 0  # leaves a metrics.json the failed run must remove
+        assert small_cli("infer", ws) == 0  # leaves outputs the failed run must remove
+        stale = ["metrics.json", "scene000.mask.rsr", "scene000.buckets.txt"]
+        assert all((ws / "infer" / name).exists() for name in stale)
         assert small_cli("partition", ws, seed=6) == 0
         capsys.readouterr()
         assert small_cli("infer", ws, seed=6) == 4
@@ -225,7 +227,7 @@ class TestInferFailures:
         assert "model gap" in err
         assert "no scene of 1 produced a mask" in err
         assert "Traceback" not in err
-        assert not (ws / "infer" / "metrics.json").exists()
+        assert [name for name in stale if (ws / "infer" / name).exists()] == []
 
     def test_bench_with_an_unmapped_scene_is_4(self, small_partitioned, capsys):
         # a bench row stands for every scene it lists, so a run that maps none has no row

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from resflow.embedding import (
+    GROUP_PIXELS,
     KMEANS_RESTARTS,
     ClusterError,
     ClusterModel,
@@ -126,6 +127,30 @@ class TestFeatureExactness:
             tile = make_tile(rng.integers(0, 256, size=(256, 256, 3), dtype=np.uint8))
             assert extract_features(tile).tobytes() == reference_features(tile).tobytes()
 
+    def test_sequence_rows_match_single_tiles(self):
+        # One call over u8 runs of one shape (the 128-px run outgrows a group of
+        # GROUP_PIXELS // 128**2 tiles), edge-clamped, 1x1 and 1xn shapes, a run
+        # that resumes after another shape, and u16 and f32 tiles between them.
+        rng = np.random.default_rng(34)
+
+        def u8(h, w, bands=3):
+            return rng.integers(0, 256, size=(h, w, bands), dtype=np.uint8)
+
+        over = GROUP_PIXELS // (128 * 128) + 2
+        pixels = [u8(32, 32) for _ in range(12)]
+        pixels += [u8(32, 17), u8(17, 32), u8(17, 17), u8(1, 1), u8(1, 1), u8(1, 9), u8(9, 1)]
+        pixels += [np.full((32, 32, 3), 31, np.uint8), u8(32, 32, 1), u8(32, 32)]
+        pixels += [rng.integers(0, 65536, size=(32, 32, 3), dtype=np.uint16)]
+        pixels += [u8(128, 128) for _ in range(over)]
+        pixels += [rng.random((17, 32, 3)).astype(np.float32), u8(32, 32), u8(32, 32, 4)]
+        tiles = [make_tile(px) for px in pixels]
+        rows = extract_features(tiles)
+        assert rows.shape == (len(tiles), 48)
+        for tile, row in zip(tiles, rows):
+            assert row.tobytes() == reference_features(tile).tobytes(), tile.pixels.shape
+            single = extract_features(tile)
+            assert single.shape == (48,) and single.tobytes() == row.tobytes()
+
     def test_u16_and_f32_keep_float_path(self):
         rng = np.random.default_rng(33)
         for i in range(200):
@@ -190,7 +215,7 @@ class TestFitClusters:
         # The knee scores k with KMEANS_RESTARTS starts; the fit partition writes must be
         # the lowest-SSE one of those. One start gave SSE 12.4 here against 11.2.
         tiles, _ = make_texture_tiles(6, 8, tile_px=32, seed=3)
-        points = np.array([extract_features(t) for t in tiles])
+        points = extract_features(tiles)
         sses = []
         for ss in np.random.SeedSequence(3).spawn(KMEANS_RESTARTS):
             init = _kmeans_pp_init(points, 10, np.random.default_rng(ss))

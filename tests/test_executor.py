@@ -1,8 +1,11 @@
+import math
 import statistics
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from resflow import executor
 from resflow.config import ConfigError, RunConfig
 from resflow.embedding import extract_features, fit_clusters
 from resflow.executor import (
@@ -109,7 +112,7 @@ class TestGroupByScene:
 
 def build_assets(tmp_path, tiles, labels, task="building", skip_bucket=None):
     """Fit hash + centroids + per-bucket models from labeled tiles."""
-    embeddings = np.array([extract_features(t) for t in tiles])
+    embeddings = extract_features(tiles)
     clusters = fit_clusters(embeddings, len(set(labels)), method="agglomerative", seed=0)
     hash_fn = fit_hash(embeddings, clusters.labels, 32, seed=0)
     codes = encode_many(hash_fn, embeddings)
@@ -180,6 +183,22 @@ class TestRunPipelineReal:
         assert out.metrics.tiles == 12
         assert not out.failures
 
+    def test_one_descriptor_call_per_stage_a_chunk(self, tmp_path, real_setup, monkeypatch):
+        hash_fn, table, registry, scenes = real_setup
+        calls = []
+
+        def counted(tiles, dim):
+            calls.append({t.extent.scene_id for t in tiles})
+            return extract_features(tiles, dim)
+
+        monkeypatch.setattr(executor, "extract_features", counted)
+        out = run_once(tmp_path, hash_fn, table, registry, scenes, workers=1)
+        # 128 px scenes in 64 px tiles: 4 tiles a scene, in batches of 3
+        assert all(len(ids) == 1 for ids in calls)
+        per_scene = Counter(ids.pop() for ids in calls)
+        assert per_scene == {scene.scene_id: math.ceil(4 / 3) for scene in scenes}
+        assert set(out.metrics.reads_per_scene.values()) == {2.0}
+
     def test_schedule_independence(self, tmp_path, real_setup):
         hash_fn, table, registry, scenes = real_setup
         reference = run_once(
@@ -207,13 +226,12 @@ class TestRunPipelineReal:
         hash_fn, table, registry = build_assets(tmp_path, tiles, labels, skip_bucket=1)
         scenes = [write_synthetic_scene(tmp_path, f"s{i}", px=128, seed=i) for i in range(3)]
         out = run_once(tmp_path, hash_fn, table, registry, scenes, workers=2)
-        # every scene that hit bucket 1 is reported and unmerged; others merged
-        assert out.failures
-        for scene_id, problems in out.failures.items():
-            assert scene_id not in out.masks
+        # every tile of these noise scenes lands in the skipped bucket 1, so all
+        # three scenes fail and none merges; a partial map is the next test's case
+        assert out.masks == {}
+        assert sorted(out.failures) == ["s0", "s1", "s2"]
+        for problems in out.failures.values():
             assert any("model gap" in p for p in problems)
-        for scene in scenes:
-            assert scene.scene_id in out.masks or scene.scene_id in out.failures
 
     def test_model_gap_counts_only_merged_scenes(self, tmp_path):
         # the same assets, on scenes of one texture class each, so the gap
