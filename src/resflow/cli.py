@@ -114,6 +114,14 @@ def _simulated_device(config: RunConfig) -> SimulatedDevice:
     return SimulatedDevice(cost_model, config.distributions, config.tile_px)
 
 
+def _catalog(paths) -> SceneCatalog:
+    """The workspace's scenes; a manifest that lists none is a data error."""
+    catalog = SceneCatalog.from_manifest(paths["manifest"])
+    if not len(catalog):
+        raise RasterError(f"manifest {paths['manifest']} lists no scene")
+    return catalog
+
+
 def _open_model_gallery(paths, table: CentroidTable) -> ModelGallery:
     """The model gallery ``train`` wrote; a missing one is a data error, never created."""
     path = paths["model_gallery"]
@@ -154,7 +162,7 @@ def cmd_synth(config: RunConfig, workspace) -> int:
 
 def cmd_partition(config: RunConfig, workspace, dump_embeddings=None) -> int:
     paths = _ws_paths(workspace)
-    catalog = SceneCatalog.from_manifest(paths["manifest"])
+    catalog = _catalog(paths)
     keys, embeddings = _scan_embeddings(catalog, config, stage="partition")
     if dump_embeddings:
         with open(dump_embeddings, "w", encoding="ascii") as f:
@@ -225,7 +233,7 @@ def _truth_ref(paths, scene):
 
 def cmd_train(config: RunConfig, workspace) -> int:
     paths = _ws_paths(workspace)
-    catalog = SceneCatalog.from_manifest(paths["manifest"])
+    catalog = _catalog(paths)
     table = CentroidTable.load(paths["centroids"])
     paths["models"].mkdir(parents=True, exist_ok=True)
     ledger = ReadLedger()
@@ -282,7 +290,7 @@ def cmd_infer(config: RunConfig, workspace, out_name="infer", event_log=None, wo
     if workers is not None:
         config = replace(config, workers=workers).validate()
     paths = _ws_paths(workspace)
-    catalog = SceneCatalog.from_manifest(paths["manifest"])
+    catalog = _catalog(paths)
     scenes = list(catalog)
     table = CentroidTable.load(paths["centroids"])
     hash_fn = load_hash(paths["hash"])

@@ -4,6 +4,16 @@ The engine treats models as pluggable: anything with ``infer(tile) -> Mask``
 can sit in the model gallery. The default LinearPixelModel is a logistic
 pixel classifier over raw band values plus 3x3 local band means, trained by
 fixed-schedule gradient descent so results are deterministic.
+
+Training and inference share one band-major feature kernel. It writes each
+raw band and each band's local mean to its own contiguous ``(h, w)`` float64
+plane, standardizes every plane in place when inference asks for it, and
+copies the planes once, transposed, into the C-ordered ``(h*w, 2*bands)``
+matrix that the gemv reads. Standardizing is elementwise, so the planes hold
+the same values a row-major matrix would, but the gemv must read the
+C-ordered copy: ``weights @ planes`` sums in another order and changes
+scores. The output matrix is allocated before the planes, so the planes are
+the short-lived allocation; the other order raised peak RSS.
 """
 
 from __future__ import annotations
@@ -48,39 +58,39 @@ class SegMetrics:
     f1: float
 
 
-def pixel_features(pixels: np.ndarray) -> np.ndarray:
-    """(h*w, 2*bands) matrix: band values then 3x3 local means per band."""
+def pixel_features(pixels: np.ndarray, mu=None, sigma=None) -> np.ndarray:
+    """(h*w, 2*bands) matrix: band values then 3x3 local means per band.
+
+    Each column is standardized by ``mu`` and ``sigma`` when they are given.
+    """
     if pixels.ndim == 2:
         pixels = pixels[:, :, None]
     h, w, bands = pixels.shape
+    # The long-lived output before the temporary planes: the other order
+    # raised the benchmark's peak RSS.
     out = np.empty((h * w, 2 * bands), dtype=np.float64)
-    out[:, :bands] = pixels.reshape(h * w, bands)
-    for b in range(bands):
-        # Filter each band column straight into its local-mean column.
-        uniform_filter(
-            out[:, b].reshape(h, w),
-            size=3,
-            mode="nearest",
-            output=out[:, bands + b].reshape(h, w),
-        )
+    planes = np.empty((2 * bands, h, w), dtype=np.float64)
+    planes[:bands] = pixels.transpose(2, 0, 1)
+    # Size 1 across planes: each band is filtered alone, one call for all of them.
+    uniform_filter(planes[:bands], size=(1, 3, 3), mode="nearest", output=planes[bands:])
+    if mu is not None:
+        planes -= mu[:, None, None]
+        planes /= sigma[:, None, None]
+    out[...] = planes.reshape(2 * bands, h * w).T
     return out
-
-
-def logistic_loss_grad(weights: np.ndarray, bias: float, X: np.ndarray, y: np.ndarray):
-    """Mean logistic loss and its analytic gradient."""
-    z = X @ weights + bias
-    # log(1 + exp(z)) - y*z, computed stably
-    loss = float(np.mean(np.logaddexp(0.0, z) - y * z))
-    p = 1.0 / (1.0 + np.exp(-z))
-    resid = p - y
-    grad_w = X.T @ resid / len(y)
-    grad_b = float(resid.mean())
-    return loss, grad_w, grad_b
 
 
 @dataclass(eq=False)
 class LinearPixelModel:
-    """Thresholded linear pixel classifier with stored standardization."""
+    """Thresholded linear pixel classifier with stored standardization.
+
+    Scoring runs the band-major ``pixel_features`` kernel: the raw and 3x3-mean
+    planes are standardized per plane by ``mu`` and ``sigma``, copied once,
+    transposed, into a C-ordered matrix, and multiplied by ``weights``. That
+    matrix is allocated before the planes, so the planes are the short-lived
+    allocation that the allocator can hand back first, and at most two
+    feature matrices are live at once.
+    """
 
     weights: np.ndarray
     bias: float
@@ -88,18 +98,16 @@ class LinearPixelModel:
     sigma: np.ndarray
     bands: int
 
-    def decision(self, X: np.ndarray) -> np.ndarray:
-        """Linear score per row of X; X itself is left unchanged."""
-        Xs = X - self.mu
-        Xs /= self.sigma
-        scores = Xs @ self.weights
+    def scores(self, pixels: np.ndarray) -> np.ndarray:
+        """Linear score per pixel in row-major order; ``pixels`` is left unchanged."""
+        scores = pixel_features(pixels, self.mu, self.sigma) @ self.weights
         scores += self.bias
         return scores
 
     def infer(self, tile: Tile) -> Mask:
         if tile.bands != self.bands:
             raise ModelError(f"tile has {tile.bands} bands, model expects {self.bands}")
-        scores = self.decision(pixel_features(tile.pixels))
+        scores = self.scores(tile.pixels)
         labels = (scores > 0).astype(np.uint8).reshape(tile.extent.h, tile.extent.w)
         return Mask(w=tile.extent.w, h=tile.extent.h, labels=labels)
 
@@ -114,10 +122,11 @@ def train_bucket_model(
     with features standardized in place by the training statistics;
     mean-based updates make a duplicated training set fit the same parameters.
 
-    Each epoch is the loss-free form of a ``logistic_loss_grad`` step: the
-    same ufuncs and matrix products in the same order, run in one reused
-    n-length buffer, so the fitted parameters match that reference loop bit
-    for bit.
+    Each epoch is the loss-free form of a mean-logistic-loss gradient step:
+    the same ufuncs and matrix products as the reference loop over
+    ``logistic_loss_grad`` in ``tests/test_models.py``, in the same order, run
+    in one reused n-length buffer, so the fitted parameters match that loop
+    bit for bit.
     """
     if not samples:
         raise ModelError("no training samples")

@@ -254,6 +254,25 @@ class TestInferFailures:
         assert list((ws / "models").iterdir()) == []
         assert not (ws / "infer").exists() and not (ws / "bench.csv").exists()
 
+    @pytest.mark.parametrize("command", ["partition", "train", "infer"])
+    def test_empty_manifest_is_3(self, small_partitioned, capsys, command):
+        ws = small_partitioned
+        assert small_cli("train", ws) == 0
+        manifest = ws / "scenes" / "manifest.txt"
+        manifest.write_text("# no scenes\n")
+        capsys.readouterr()
+        assert small_cli(command, ws) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "lists no scene" in err and str(manifest) in err
+        assert "Traceback" not in err
+
+    def test_empty_manifest_with_default_k_is_3(self, tmp_path, capsys):
+        (tmp_path / "scenes").mkdir()
+        (tmp_path / "scenes" / "manifest.txt").write_text("")
+        capsys.readouterr()
+        assert main(["partition", "-w", str(tmp_path)]) == 3
+        assert capsys.readouterr().err.startswith("data error:")
+
     @pytest.mark.parametrize(
         "name, content",
         [

@@ -1,3 +1,6 @@
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.ndimage import uniform_filter
@@ -9,7 +12,6 @@ from resflow.models import (
     TrainConfig,
     iou_to_f1,
     load_model,
-    logistic_loss_grad,
     pixel_features,
     save_model,
     seg_metrics,
@@ -20,14 +22,26 @@ from resflow.raster import Mask
 from conftest import make_mask, make_tile
 
 
-def separable_samples(n_tiles=6, size=24, seed=0):
+def logistic_loss_grad(weights: np.ndarray, bias: float, X: np.ndarray, y: np.ndarray):
+    """Mean logistic loss and its analytic gradient: the oracle train_bucket_model must match."""
+    z = X @ weights + bias
+    # log(1 + exp(z)) - y*z, computed stably
+    loss = float(np.mean(np.logaddexp(0.0, z) - y * z))
+    p = 1.0 / (1.0 + np.exp(-z))
+    resid = p - y
+    grad_w = X.T @ resid / len(y)
+    grad_b = float(resid.mean())
+    return loss, grad_w, grad_b
+
+
+def separable_samples(n_tiles=6, size=24, seed=0, bands=3):
     """Tiles where class 1 sits above intensity 148 and class 0 below 108."""
     rng = np.random.default_rng(seed)
     samples = []
     for _ in range(n_tiles):
         truth = (rng.random((size, size)) < 0.3).astype(np.uint8)
-        base = rng.normal(88.0, 6.0, size=(size, size, 3))
-        hi = rng.normal(168.0, 6.0, size=(size, size, 3))
+        base = rng.normal(88.0, 6.0, size=(size, size, bands))
+        hi = rng.normal(168.0, 6.0, size=(size, size, bands))
         pixels = np.where(truth[:, :, None] == 1, hi, base)
         samples.append((make_tile(np.clip(pixels, 0, 255).astype(np.uint8)), make_mask(truth)))
     return samples
@@ -94,6 +108,12 @@ def reference_pixel_features(pixels):
     return np.stack(cols, axis=1)
 
 
+def random_pixels(rng, shape, dtype):
+    if dtype is np.float32:
+        return rng.random(shape).astype(dtype) * 255
+    return rng.integers(0, 256, size=shape).astype(dtype)
+
+
 def reference_decision(model, X):
     Xs = (X - model.mu) / model.sigma
     return Xs @ model.weights + model.bias
@@ -152,25 +172,46 @@ class TestExactness:
             assert model.bias == b
             assert np.array_equal(model.mu, mu) and np.array_equal(model.sigma, sigma)
 
-    def test_pixel_features_and_decision_match_reference(self):
+    def test_pixel_features_and_scores_match_reference(self):
         rng = np.random.default_rng(24)
-        model = train_bucket_model(separable_samples(seed=25))
-        shapes = [(1, 1, 3), (1, 9, 3), (9, 1, 3), (2, 2, 3), (17, 23, 3), (64, 64, 3)]
-        for h, w, bands in shapes:
-            for dtype in (np.uint8, np.uint16, np.float32):
-                if dtype is np.float32:
-                    pixels = rng.random((h, w, bands)).astype(dtype) * 255
-                else:
-                    pixels = rng.integers(0, 256, size=(h, w, bands)).astype(dtype)
-                X = pixel_features(pixels)
-                assert X.flags.c_contiguous
-                assert X.tobytes() == reference_pixel_features(pixels).tobytes()
-                before = X.copy()
-                scores = model.decision(X)
-                assert np.array_equal(X, before), "decision mutated its argument"
-                assert scores.tobytes() == reference_decision(model, X).tobytes()
-        flat = rng.integers(0, 256, size=(5, 7), dtype=np.uint8)
-        assert pixel_features(flat).tobytes() == reference_pixel_features(flat).tobytes()
+        models = {bands: train_bucket_model(separable_samples(seed=25, bands=bands)) for bands in (1, 3, 4)}
+        shapes = [(1, 1), (1, 9), (9, 1), (2, 2), (17, 23), (256, 256)]
+        for (h, w), bands, dtype in itertools.product(shapes, (1, 3, 4), (np.uint8, np.uint16, np.float32)):
+            pixels = random_pixels(rng, (h, w, bands), dtype)
+            model = models[bands]
+            X = pixel_features(pixels)
+            assert X.flags.c_contiguous
+            assert X.tobytes() == reference_pixel_features(pixels).tobytes()
+            expected = reference_decision(model, reference_pixel_features(pixels))
+            before = pixels.copy()
+            assert model.scores(pixels).tobytes() == expected.tobytes()
+            tile = make_tile(pixels)
+            labels = model.infer(tile).labels
+            assert labels.dtype == np.uint8
+            assert np.array_equal(labels, (expected > 0).astype(np.uint8).reshape(h, w))
+            assert tile.pixels.tobytes() == before.tobytes(), "infer changed the tile's pixels"
+            if bands == 1:
+                flat = pixels[:, :, 0]
+                assert pixel_features(flat).tobytes() == reference_pixel_features(flat).tobytes()
+                assert model.scores(flat).tobytes() == expected.tobytes()
+
+
+class TestMemory:
+    def test_infer_peak_stays_within_two_feature_matrices(self):
+        # numpy reports its data buffers to tracemalloc, so any new
+        # temporary in the scoring kernel shows up in the traced peak.
+        model = train_bucket_model(separable_samples(seed=26))
+        tile = make_tile(np.random.default_rng(27).integers(0, 256, size=(256, 256, 3), dtype=np.uint8))
+        model.infer(tile)
+        n = 256 * 256
+        budget = 2 * n * 6 * 8 + n * 8 + n  # two feature matrices, f64 scores, u8 labels
+        tracemalloc.start()
+        try:
+            model.infer(tile)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= budget, f"infer peaked at {peak} bytes, budget {budget}"
 
 
 class TestInference:
