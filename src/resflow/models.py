@@ -88,8 +88,7 @@ class LinearPixelModel:
     planes are standardized per plane by ``mu`` and ``sigma``, copied once,
     transposed, into a C-ordered matrix, and multiplied by ``weights``. That
     matrix is allocated before the planes, so the planes are the short-lived
-    allocation that the allocator can hand back first, and at most two
-    feature matrices are live at once.
+    allocation, and at most two feature matrices are live at once.
     """
 
     weights: np.ndarray
