@@ -37,6 +37,7 @@ from .embedding import (
     fit_clusters,
     intra_cluster_variance,
     select_bucket_count,
+    ward_tree,
 )
 from .executor import (
     DeviceCostModel,
@@ -171,6 +172,10 @@ def cmd_partition(config: RunConfig, workspace, dump_embeddings=None) -> int:
             for (scene, ext), row in zip(keys, embeddings):
                 f.write(f"{scene.scene_id},{ext.x0},{ext.y0}," + ",".join(repr(v) for v in row) + "\n")
 
+    # One Ward tree serves both the knee selection and the cut at the chosen k.
+    tree = None
+    if config.cluster_method == "agglomerative" and len(embeddings) > 1:
+        tree = ward_tree(embeddings)
     if config.k > 0:
         k = config.k
     else:
@@ -180,8 +185,9 @@ def cmd_partition(config: RunConfig, workspace, dump_embeddings=None) -> int:
             range(config.k_min, k_hi + 1),
             method=config.cluster_method,
             seed=config.seed,
+            tree=tree,
         )
-    clusters = fit_clusters(embeddings, k, method=config.cluster_method, seed=config.seed)
+    clusters = fit_clusters(embeddings, k, method=config.cluster_method, seed=config.seed, tree=tree)
     vk = intra_cluster_variance(clusters, embeddings)
     min_d2 = min(
         float(((clusters.centroids[i] - clusters.centroids[j]) ** 2).sum())
@@ -241,6 +247,12 @@ def cmd_train(config: RunConfig, workspace) -> int:
     with ImageGallery(paths["gallery"], centroids=table) as gallery, ModelGallery(
         paths["model_gallery"], table
     ) as registry:
+        if gallery.dropped_bytes:
+            print(
+                f"warning: dropped {gallery.dropped_bytes} bytes of a torn final line "
+                f"in {paths['gallery']}",
+                file=sys.stderr,
+            )
         for bucket_id, centroid in table.items():
             records = gallery.query_by_bucket(bucket_id)
             if not records:
@@ -361,7 +373,7 @@ def cmd_bench(config: RunConfig, workspace, workers_list, scene_counts, out_path
             max(scene_counts), config.scene_px, config.scene_px, gsd_m=config.gsd_m
         )
     else:
-        all_scenes = list(SceneCatalog.from_manifest(paths["manifest"]))
+        all_scenes = list(_catalog(paths))
         table = CentroidTable.load(paths["centroids"])
         device = PipelineAssets(
             hash_fn=load_hash(paths["hash"]),

@@ -206,11 +206,18 @@ def _fit_kmeans(points: np.ndarray, k: int, seed: int) -> ClusterModel:
     return ClusterModel(k=k, centroids=centroids, labels=labels, seed=seed, method="kmeans")
 
 
-def _fit_agglomerative(points: np.ndarray, k: int, seed: int) -> ClusterModel:
+def ward_tree(embeddings: np.ndarray) -> np.ndarray:
+    """The Ward linkage matrix of the embeddings, for ``tree=`` arguments."""
+    return linkage(np.asarray(embeddings, dtype=np.float64), method="ward")
+
+
+def _fit_agglomerative(points: np.ndarray, k: int, seed: int, tree: np.ndarray | None) -> ClusterModel:
     if len(points) == k:
         raw = np.arange(k) + 1
     else:
-        raw = fcluster(linkage(points, method="ward"), t=k, criterion="maxclust")
+        if tree is None:
+            tree = ward_tree(points)
+        raw = fcluster(tree, t=k, criterion="maxclust")
     # Relabel by first occurrence so ids are dense and order-stable.
     remap: dict[int, int] = {}
     labels = np.empty(len(points), dtype=np.int64)
@@ -230,13 +237,16 @@ def fit_clusters(
     k: int,
     method: str = "kmeans",
     seed: int = 0,
+    tree: np.ndarray | None = None,
 ) -> ClusterModel:
     """Cluster embedding vectors into k groups.
 
     kmeans: ``KMEANS_RESTARTS`` k-means++ seedings drawn from ``seed``, each
     followed by Lloyd iterations until the max per-coordinate centroid shift
     drops below 1e-6 or 300 iterations; the lowest-SSE result wins.
-    agglomerative: Ward linkage cut at k clusters (seed is ignored there).
+    agglomerative: Ward linkage cut at k clusters (seed is ignored there);
+    ``tree``, when given, is ``ward_tree(embeddings)`` built by the caller,
+    so one linkage can serve the knee selection and the fit.
     """
     points = np.asarray(embeddings, dtype=np.float64)
     if points.ndim != 2:
@@ -249,7 +259,7 @@ def fit_clusters(
     if method == "kmeans":
         return _fit_kmeans(points, k, seed)
     if method == "agglomerative":
-        return _fit_agglomerative(points, k, seed)
+        return _fit_agglomerative(points, k, seed, tree)
     raise ClusterError(f"unknown clustering method {method!r}")
 
 
@@ -276,15 +286,20 @@ def variance_curve(
     ks,
     method: str = "kmeans",
     seed: int = 0,
+    tree: np.ndarray | None = None,
 ) -> dict[int, float]:
-    """Intra-cluster variance per candidate k; shares one linkage for ward."""
+    """Intra-cluster variance per candidate k; shares one linkage for ward.
+
+    ``tree`` is ``ward_tree(embeddings)`` when the caller already built it.
+    """
     points = np.asarray(embeddings, dtype=np.float64)
     ks = sorted(set(int(k) for k in ks))
     out = {}
     if method == "agglomerative" and len(points) > max(ks):
-        Z = linkage(points, method="ward")
+        if tree is None:
+            tree = ward_tree(points)
         for k in ks:
-            raw = fcluster(Z, t=k, criterion="maxclust")
+            raw = fcluster(tree, t=k, criterion="maxclust")
             labels = np.unique(raw, return_inverse=True)[1]
             kk = labels.max() + 1
             centroids = np.stack([points[labels == c].mean(axis=0) for c in range(kk)])
@@ -303,11 +318,13 @@ def select_bucket_count(
     method: str = "kmeans",
     seed: int = 0,
     tau: float = 0.1,
+    tree: np.ndarray | None = None,
 ) -> int:
     """Pick the knee of the variance-vs-k curve.
 
     Returns the smallest k whose relative variance reduction to the next k
     falls below ``tau``; if no k qualifies, the largest candidate wins.
+    ``tree`` is passed on to ``variance_curve``.
     """
     points = np.asarray(embeddings, dtype=np.float64)
     ks = sorted(set(int(k) for k in k_range))
@@ -318,7 +335,7 @@ def select_bucket_count(
     probe = list(ks)
     if ks[-1] + 1 <= len(points):
         probe.append(ks[-1] + 1)
-    curve = variance_curve(points, probe, method=method, seed=seed)
+    curve = variance_curve(points, probe, method=method, seed=seed, tree=tree)
     for k, k_next in zip(probe[:-1], probe[1:]):
         if k not in ks:
             continue

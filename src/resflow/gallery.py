@@ -5,6 +5,12 @@ rebuilt on open: crash-simple, diff-friendly, and fast enough for the record
 counts this engine handles. Records are immutable once written; writes go
 through a single writer per instance while reads are free.
 
+A crash mid-append can leave the image gallery's last line without its
+newline. Opening drops that torn tail and counts its bytes in
+``ImageGallery.dropped_bytes``; the next append first truncates the file to
+its last complete line. A malformed line that does end in a newline is still
+a ``GalleryError``.
+
 Image gallery line format (space separated, dash for absent optionals):
 
     IGAL1 n_bits=<n>
@@ -22,6 +28,7 @@ contain no whitespace.
 
 from __future__ import annotations
 
+import os
 import re
 import threading
 from dataclasses import dataclass, field
@@ -130,6 +137,8 @@ class ImageGallery:
         self._by_bucket: dict[int, list[int]] = {}
         self._lock = threading.Lock()
         self._fh = None
+        self.dropped_bytes = 0
+        self._torn_at: int | None = None  # length to truncate to before the next append
         if self.path.exists():
             self._load(expected_bits=n_bits)
         else:
@@ -140,20 +149,28 @@ class ImageGallery:
                 f.write(f"{IMAGE_HEADER} n_bits={self.n_bits}\n")
 
     def _load(self, expected_bits: int | None):
-        with open(self.path, "r", encoding="ascii") as f:
-            header = f.readline().split()
-            if len(header) != 2 or header[0] != IMAGE_HEADER or not header[1].startswith("n_bits="):
-                raise GalleryError(f"malformed gallery header in {self.path}")
-            self.n_bits = int(header[1].split("=", 1)[1])
-            if expected_bits is not None and expected_bits != self.n_bits:
-                raise GalleryError(f"gallery has n_bits={self.n_bits}, expected {expected_bits}")
-            for line in f:
-                if not line.strip():
-                    continue
-                rid, record = line_to_record(line, self.n_bits)
-                if rid != len(self._records):
-                    raise GalleryError(f"non-monotone record_id {rid} in {self.path}")
-                self._index(rid, record)
+        raw = self.path.read_bytes()
+        complete = raw.rfind(b"\n") + 1
+        self.dropped_bytes = len(raw) - complete
+        if self.dropped_bytes:
+            self._torn_at = complete
+        try:
+            header, *lines = raw[:complete].decode("ascii").split("\n")
+        except UnicodeDecodeError as e:
+            raise GalleryError(f"non-ASCII byte at offset {e.start} of {self.path}") from None
+        header = header.split()
+        if len(header) != 2 or header[0] != IMAGE_HEADER or not header[1].startswith("n_bits="):
+            raise GalleryError(f"malformed gallery header in {self.path}")
+        self.n_bits = int(header[1].split("=", 1)[1])
+        if expected_bits is not None and expected_bits != self.n_bits:
+            raise GalleryError(f"gallery has n_bits={self.n_bits}, expected {expected_bits}")
+        for line in lines:
+            if not line.strip():
+                continue
+            rid, record = line_to_record(line, self.n_bits)
+            if rid != len(self._records):
+                raise GalleryError(f"non-monotone record_id {rid} in {self.path}")
+            self._index(rid, record)
 
     def _index(self, rid: int, record: GalleryRecord):
         self._records.append(record)
@@ -179,6 +196,9 @@ class ImageGallery:
         with self._lock:
             rid = len(self._records)
             if self._fh is None:
+                if self._torn_at is not None:
+                    os.truncate(self.path, self._torn_at)
+                    self._torn_at = None
                 self._fh = open(self.path, "a", encoding="ascii")
             self._fh.write(record_to_line(rid, record))
             self._fh.flush()

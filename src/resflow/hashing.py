@@ -7,6 +7,11 @@ accuracy), and the winner is kept subject to a de-correlation cap against
 previously accepted bits. Thresholds sit at the projection median, so bucket
 assignments are invariant to positive rescaling of the embedding space.
 
+Each bit is chosen in whole-matrix steps rather than per candidate: label
+counts and agreement counts are matrix products of 0/1 float64 arrays. Their
+entries are integers below 2**53, which every summation order gives exactly,
+so the fitted hash does not depend on how the products are computed.
+
 Codes live in a hamming space: each bucket is identified by the per-bit
 majority code of its members, and lookups are nearest-centroid scans.
 """
@@ -131,21 +136,19 @@ def _subset_matrix(k: int) -> np.ndarray:
     return ((masks[:, None] >> np.arange(k)[None, :]) & 1).astype(np.float64)
 
 
-def _best_split_scores(bits: np.ndarray, label_idx: np.ndarray, counts: np.ndarray) -> np.ndarray:
+def _best_split_scores(ones: np.ndarray, counts: np.ndarray, subsets: np.ndarray | None) -> np.ndarray:
     """Best balanced accuracy over label bipartitions, per candidate column.
 
-    Exhaustive over subsets for small label counts; greedy one-rate prefix
-    splits otherwise.
+    ``ones[g, c]`` counts the points of label ``g`` whose candidate bit ``c``
+    is set. Exhaustive over ``subsets`` (``_subset_matrix(k)``) for small
+    label counts; greedy one-rate prefix splits when ``subsets`` is None.
     """
-    n, n_cand = bits.shape
-    k = len(counts)
-    ones = np.zeros((k, n_cand), dtype=np.float64)
-    np.add.at(ones, label_idx, bits.astype(np.float64))
+    n_cand = ones.shape[1]
+    n = counts.sum()
     total_ones = ones.sum(axis=0)
-    if k <= 12:
-        M = _subset_matrix(k)
-        sel_ones = M @ ones
-        sel_n = (M @ counts)[:, None]
+    if subsets is not None:
+        sel_ones = subsets @ ones
+        sel_n = (subsets @ counts)[:, None]
         pos = sel_ones / sel_n
         neg = (total_ones[None, :] - sel_ones) / (n - sel_n)
         bal = (pos + (1.0 - neg)) / 2.0
@@ -185,6 +188,15 @@ def fit_hash(
     with every previously accepted bit on at most ``max_agreement`` of the
     training points (falling back to the top scorer when all are too
     correlated). Deterministic given the seed.
+
+    Each bit is chosen in whole-matrix steps over the 0/1 float64 candidate
+    bits ``B`` (n, candidates): one label one-hot product gives every
+    label's ones count, and one product of the accepted bit rows ``A`` with
+    ``B`` (both set) plus one of their complements (both clear) gives every
+    agreement count. Those are integer sums below 2**53, exact in any
+    summation order, and ``count / n`` is the float ``np.mean`` returns for
+    a bool column, so the bits and thresholds match a per-candidate loop
+    byte for byte.
     """
     E = np.asarray(embeddings, dtype=np.float64)
     y = np.asarray(labels)
@@ -199,10 +211,13 @@ def fit_hash(
         raise HashError(f"n_bits={n_bits} too small for {k} buckets (need >= {min_bits})")
     if np.allclose(E, E[0]):
         raise HashFitError("no separating direction: all embeddings identical")
+    n = len(E)
     counts = np.bincount(label_idx, minlength=k).astype(np.float64)
+    onehot = (np.arange(k)[:, None] == label_idx[None, :]).astype(np.float64)
+    subsets = _subset_matrix(k) if k <= 12 else None
 
     rng = np.random.default_rng(seed)
-    accepted_bits: list[np.ndarray] = []
+    accepted = np.empty((n_bits, n))
     projections = np.empty((n_bits, E.shape[1]))
     thresholds = np.empty(n_bits)
     for b in range(n_bits):
@@ -212,16 +227,14 @@ def fit_hash(
         C /= norms
         P = E @ C.T
         thr = np.median(P, axis=0)
-        B = P > thr
-        scores = _best_split_scores(B, label_idx, counts)
+        B = (P > thr).astype(np.float64)
+        scores = _best_split_scores(onehot @ B, counts, subsets)
         order = np.lexsort((np.arange(candidates), -scores))
-        chosen = int(order[0])
-        for ci in order:
-            col = B[:, ci]
-            if all(float(np.mean(col == acc)) <= max_agreement for acc in accepted_bits):
-                chosen = int(ci)
-                break
-        accepted_bits.append(B[:, chosen])
+        A = accepted[:b]
+        agreement = (A @ B + (1.0 - A) @ (1.0 - B)) / n
+        passing = (agreement <= max_agreement).all(axis=0)[order]
+        chosen = int(order[passing.argmax()]) if passing.any() else int(order[0])
+        accepted[b] = B[:, chosen]
         projections[b] = C[chosen]
         thresholds[b] = thr[chosen]
     return HashFunction(projections=projections, thresholds=thresholds)

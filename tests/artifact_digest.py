@@ -11,8 +11,10 @@ the held-out scenes, then ``infer`` there at workers 1 and 2. It prints one
 ``sha256 name`` line per artifact (the build's ``partition/`` files, every
 ``.lpm1``, and every mask and bucket sidecar of both ``infer`` runs) and ends
 with ``digest <hex>`` over all of them. Give ``--src`` the ``src`` directory
-of two checkouts to compare them. The extra ``tiny`` workload (128-px tiles,
-512-px scenes) is a run of a few seconds.
+of two checkouts to compare them. Two extra workloads run in a few seconds on
+512-px scenes: ``tiny`` (128-px tiles, ``k`` pinned to the class count) and
+``tiny_knee`` (64-px tiles, the default 2..10 ``k`` range, so the knee
+selection runs).
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ bench = _load_perfbench()
 WORKLOADS = {
     **bench.WORKLOADS,
     "tiny": bench.Workload(128, bench.CLASSES, bench.CLASSES, 512, 1, 512, 4, 2, 1),
+    "tiny_knee": bench.Workload(64, 2, 10, 512, 1, 512, 4, 2, 1),
 }
 
 

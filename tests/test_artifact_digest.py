@@ -5,10 +5,10 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 
 
-def run_digest(seed):
+def run_digest(seed, workload="tiny"):
     out = subprocess.run(
         [sys.executable, str(HERE / "artifact_digest.py"), "--src", str(HERE.parent / "src"),
-         "--seed", str(seed), "--workload", "tiny"],
+         "--seed", str(seed), "--workload", workload],
         check=True, capture_output=True, text=True,
     ).stdout.splitlines()
     return out[:-1], out[-1]
@@ -26,3 +26,12 @@ def test_two_runs_give_the_same_digest():
     assert digest.startswith("digest ")
     assert run_digest(5) == (files, digest)
     assert run_digest(6)[1] != digest
+
+
+def test_knee_workload_repeats():
+    # tiny_knee leaves k to the knee selection over the default 2..10 range
+    files, digest = run_digest(5, "tiny_knee")
+    names = [line.split()[1] for line in files]
+    assert "build/partition/bucket_counts.txt" in names
+    assert run_digest(5, "tiny_knee") == (files, digest)
+    assert digest != run_digest(5)[1]

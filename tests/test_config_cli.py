@@ -105,6 +105,18 @@ class TestPartitionCommand:
         assert len(header) == 3 + 48
         assert len(lines) == 1 + 27  # 3 scenes of 3x3 tiles
 
+    def test_one_ward_tree_per_partition(self, tmp_path, monkeypatch):
+        # the knee selection and the cut at the chosen k share one linkage
+        from resflow import embedding
+
+        ws = tmp_path / "knee"
+        assert small_cli("synth", ws) == 0
+        built = []
+        linkage = embedding.linkage
+        monkeypatch.setattr(embedding, "linkage", lambda *a, **kw: built.append(1) or linkage(*a, **kw))
+        assert main(["partition", "-w", str(ws), *SMALL_WS, "--set", "k=0", "--set", "seed=5"]) == 0
+        assert len(built) == 1
+
     def test_weak_separation_warning(self, tmp_path, capsys):
         ws = tmp_path / "flat"
         assert run_cli(["synth", "-w", str(ws)], extra_overrides=["distributions=1"]) == 0
@@ -254,17 +266,45 @@ class TestInferFailures:
         assert list((ws / "models").iterdir()) == []
         assert not (ws / "infer").exists() and not (ws / "bench.csv").exists()
 
-    @pytest.mark.parametrize("command", ["partition", "train", "infer"])
+    @pytest.mark.parametrize("command", ["partition", "train", "infer", "bench"])
     def test_empty_manifest_is_3(self, small_partitioned, capsys, command):
         ws = small_partitioned
         assert small_cli("train", ws) == 0
         manifest = ws / "scenes" / "manifest.txt"
         manifest.write_text("# no scenes\n")
         capsys.readouterr()
-        assert small_cli(command, ws) == 3
+        assert (small_bench(ws) if command == "bench" else small_cli(command, ws)) == 3
         err = capsys.readouterr().err
         assert err.startswith("data error:") and "lists no scene" in err and str(manifest) in err
         assert "Traceback" not in err
+
+    def test_bench_sweep_beyond_the_manifest_is_2(self, small_partitioned, capsys):
+        ws = small_partitioned
+        assert small_cli("train", ws) == 0
+        capsys.readouterr()
+        argv = ["bench", "-w", str(ws), "--workers-list", "1", "--scene-counts", "2", *SMALL_WS]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "sweep asks for 2" in err
+
+    def test_torn_gallery_tail_is_dropped_with_a_warning(self, small_partitioned, capsys):
+        ws = small_partitioned
+        gallery = ws / "partition" / "image_gallery.igal"
+        intact = gallery.read_bytes()
+        with open(gallery, "ab") as f:
+            f.write(b"16 abc")
+        capsys.readouterr()
+        assert small_cli("train", ws) == 0
+        assert "warning: dropped 6 bytes of a torn final line" in capsys.readouterr().err
+        assert gallery.read_bytes() == intact + b"16 abc"  # train only reads the gallery
+
+    def test_malformed_gallery_line_is_3(self, small_partitioned, capsys):
+        with open(small_partitioned / "partition" / "image_gallery.igal", "ab") as f:
+            f.write(b"16 abc\n")
+        capsys.readouterr()
+        assert small_cli("train", small_partitioned) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "malformed gallery line (2 fields)" in err
 
     def test_empty_manifest_with_default_k_is_3(self, tmp_path, capsys):
         (tmp_path / "scenes").mkdir()

@@ -14,7 +14,10 @@ from resflow.embedding import (
     lloyd,
     _kmeans_pp_init,
     select_bucket_count,
+    variance_curve,
+    ward_tree,
 )
+from resflow import embedding
 from resflow.synth import make_texture_tiles
 
 from conftest import make_blobs, make_tile
@@ -296,3 +299,23 @@ class TestSelectBucketCount:
             select_bucket_count(points, [])
         with pytest.raises(ClusterError):
             select_bucket_count(points, range(2, 50))
+
+    def test_passed_tree_gives_the_same_result(self, monkeypatch):
+        tiles, _ = make_texture_tiles(6, 8, tile_px=32, seed=3)
+        points = extract_features(tiles)
+        tree = ward_tree(points)
+        built = []
+        linkage = embedding.linkage
+        monkeypatch.setattr(embedding, "linkage", lambda *a, **kw: built.append(1) or linkage(*a, **kw))
+        ks = range(2, 11)
+        curve = variance_curve(points, ks, method="agglomerative")
+        assert variance_curve(points, ks, method="agglomerative", tree=tree) == curve
+        k = select_bucket_count(points, ks, method="agglomerative")
+        assert select_bucket_count(points, ks, method="agglomerative", tree=tree) == k
+        for kk in (k, 2, len(points)):
+            alone = fit_clusters(points, kk, method="agglomerative")
+            shared = fit_clusters(points, kk, method="agglomerative", tree=tree)
+            assert shared.labels.tobytes() == alone.labels.tobytes()
+            assert shared.centroids.tobytes() == alone.centroids.tobytes()
+        # only the calls without a tree built one; k = n needs no tree
+        assert len(built) == 4

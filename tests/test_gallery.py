@@ -124,6 +124,43 @@ class TestImageGallery:
         r = record_for(BinaryCode(0x0F, 8), table)
         assert record_to_line(0, r).split()[8] == "/data/sceneA.rsr"
 
+    def test_torn_final_line_dropped_then_truncated(self, tmp_path, table):
+        path = tmp_path / "g.igal"
+        with ImageGallery(path, n_bits=8, centroids=table) as g:
+            g.insert(record_for(BinaryCode(0x0F, 8), table))
+        intact = path.read_bytes()
+        with open(path, "ab") as f:
+            f.write(b"1 0f 1 sceneA 16")  # a crash cut this append short
+        with ImageGallery(path, centroids=table) as g:
+            assert g.dropped_bytes == 16
+            assert len(g) == 1
+            assert path.read_bytes() == intact + b"1 0f 1 sceneA 16"  # opening writes nothing
+            assert g.insert(record_for(BinaryCode(0xF0, 8), table, x0=16)) == 1
+        assert path.read_bytes() == intact + record_to_line(
+            1, record_for(BinaryCode(0xF0, 8), table, x0=16)
+        ).encode()
+        with ImageGallery(path, centroids=table) as g:
+            assert g.dropped_bytes == 0
+            assert [r.extent.x0 for r in g.query_by_bucket(2)] == [16]
+
+    def test_malformed_line_with_newline_still_raises(self, tmp_path, table):
+        path = tmp_path / "g.igal"
+        with ImageGallery(path, n_bits=8, centroids=table) as g:
+            g.insert(record_for(BinaryCode(0x0F, 8), table))
+        with open(path, "ab") as f:
+            f.write(b"16 abc\n")
+        with pytest.raises(GalleryError, match="malformed gallery line"):
+            ImageGallery(path, centroids=table)
+        path.write_bytes(path.read_bytes()[:-7] + b"\xff\n")
+        with pytest.raises(GalleryError, match="non-ASCII byte"):
+            ImageGallery(path, centroids=table)
+
+    def test_torn_header_is_malformed(self, tmp_path):
+        path = tmp_path / "g.igal"
+        path.write_bytes(b"IGAL1 n_bi")
+        with pytest.raises(GalleryError, match="malformed gallery header"):
+            ImageGallery(path)
+
 
 class TestModelGallery:
     def test_path_with_space_and_percent_round_trips(self, tmp_path, table):

@@ -20,6 +20,8 @@ from resflow.hashing import (
     load_hash,
     save_hash,
 )
+from resflow.hashing import _subset_matrix
+
 
 from conftest import make_blobs
 
@@ -54,6 +56,76 @@ def brute_force_map(codes, labels):
                 precisions.append(hits / rank)
         aps.append(sum(precisions) / len(precisions))
     return sum(aps) / len(aps)
+
+
+def reference_split_scores(bits, label_idx, counts):
+    # per-bit scorer as fit_hash ran it before the whole-matrix rewrite
+    n, n_cand = bits.shape
+    k = len(counts)
+    ones = np.zeros((k, n_cand), dtype=np.float64)
+    np.add.at(ones, label_idx, bits.astype(np.float64))
+    total_ones = ones.sum(axis=0)
+    if k <= 12:
+        M = _subset_matrix(k)
+        sel_ones = M @ ones
+        sel_n = (M @ counts)[:, None]
+        pos = sel_ones / sel_n
+        neg = (total_ones[None, :] - sel_ones) / (n - sel_n)
+        bal = (pos + (1.0 - neg)) / 2.0
+        return bal.max(axis=0)
+    scores = np.zeros(n_cand)
+    for ci in range(n_cand):
+        rates = ones[:, ci] / counts
+        order = np.argsort(-rates, kind="stable")
+        best = 0.5
+        sel_o = 0.0
+        sel_c = 0.0
+        for g in order[:-1]:
+            sel_o += ones[g, ci]
+            sel_c += counts[g]
+            pos = sel_o / sel_c
+            neg = (total_ones[ci] - sel_o) / (n - sel_c)
+            bal = (pos + (1.0 - neg)) / 2.0
+            best = max(best, bal, 1.0 - bal)
+        scores[ci] = best
+    return scores
+
+
+def reference_fit_hash(embeddings, labels, n_bits, seed=0, candidates=64, max_agreement=0.95):
+    # exactness oracle: np.add.at label counts and one np.mean agreement check
+    # per candidate and accepted bit, in score order
+    E = np.asarray(embeddings, dtype=np.float64)
+    _, label_idx = np.unique(np.asarray(labels), return_inverse=True)
+    counts = np.bincount(label_idx).astype(np.float64)
+    rng = np.random.default_rng(seed)
+    accepted_bits = []
+    projections = np.empty((n_bits, E.shape[1]))
+    thresholds = np.empty(n_bits)
+    for b in range(n_bits):
+        C = rng.standard_normal((candidates, E.shape[1]))
+        norms = np.linalg.norm(C, axis=1, keepdims=True)
+        norms[norms == 0] = 1.0
+        C /= norms
+        P = E @ C.T
+        thr = np.median(P, axis=0)
+        B = P > thr
+        scores = reference_split_scores(B, label_idx, counts)
+        order = np.lexsort((np.arange(candidates), -scores))
+        chosen = int(order[0])
+        for ci in order:
+            col = B[:, ci]
+            if all(float(np.mean(col == acc)) <= max_agreement for acc in accepted_bits):
+                chosen = int(ci)
+                break
+        accepted_bits.append(B[:, chosen])
+        projections[b] = C[chosen]
+        thresholds[b] = thr[chosen]
+    return HashFunction(projections=projections, thresholds=thresholds)
+
+
+def assert_same_hash(got, want):
+    assert got.projections.tobytes() == want.projections.tobytes()
+    assert got.thresholds.tobytes() == want.thresholds.tobytes()
 
 
 class TestBinaryCode:
@@ -147,6 +219,57 @@ class TestFitHash:
         table2 = bucket_centroids(codes2, labels)
         after = [assign_bucket(c, table2) for c in codes2]
         assert before == after
+
+
+class TestFitHashMatchesReference:
+    @pytest.mark.parametrize(
+        "n, k, n_bits",
+        [
+            (2, 2, 1),
+            (3, 2, 4),
+            (16, 6, 32),
+            (17, 6, 3),
+            (64, 10, 32),
+            (101, 12, 16),
+            (130, 13, 8),
+            (257, 2, 32),
+            (1024, 10, 32),
+            (1023, 13, 4),
+        ],
+    )
+    def test_random_labels(self, n, k, n_bits):
+        rng = np.random.default_rng(n * 100 + k)
+        points = rng.standard_normal((n, 9)) + rng.integers(0, 3, size=(n, 1))
+        labels = np.concatenate([np.arange(k), rng.integers(0, k, size=n - k)])
+        for seed in (0, 7):
+            assert_same_hash(fit_hash(points, labels, n_bits, seed=seed),
+                             reference_fit_hash(points, labels, n_bits, seed=seed))
+
+    @pytest.mark.parametrize("k", [2, 6, 13])
+    def test_blobs(self, k):
+        points, labels = make_blobs(k, 20, dim=12, seed=k)
+        assert_same_hash(fit_hash(points, labels, 32, seed=3),
+                         reference_fit_hash(points, labels, 32, seed=3))
+
+    @pytest.mark.parametrize("n", [20, 21])
+    def test_tied_scores(self, n):
+        # on one axis every direction is +1 or -1, so candidates tie in pairs or wholly
+        points, labels = make_blobs(2, n // 2, dim=1, seed=1)
+        points = np.concatenate([points, points[:n % 2]])
+        labels = np.concatenate([labels, labels[:n % 2]])
+        for n_bits in (1, 2, 32):
+            assert_same_hash(fit_hash(points, labels, n_bits, seed=0),
+                             reference_fit_hash(points, labels, n_bits, seed=0))
+
+    def test_every_candidate_too_correlated(self):
+        # an odd count on one axis: each candidate bit agrees with the first on
+        # at least the median point, so no candidate passes max_agreement=0
+        points = np.arange(15.0)[:, None]
+        labels = np.arange(15) % 3
+        got = fit_hash(points, labels, 6, seed=2, max_agreement=0.0)
+        assert_same_hash(got, reference_fit_hash(points, labels, 6, seed=2, max_agreement=0.0))
+        # the fallback keeps the top scorer, which repeats the first bit up to sign
+        assert np.array_equal(np.abs(got.projections), np.ones((6, 1)))
 
 
 class TestEncode:
