@@ -15,16 +15,12 @@ from .embedding import (
     select_bucket_count,
 )
 from .executor import (
-    DeviceCostModel,
     PipelineAssets,
     RunMetrics,
     RunOutput,
-    SimulatedDevice,
     area_rate,
     compute_speedup,
     group_by_scene,
-    make_virtual_scenes,
-    predicted_wall_s,
     run_pipeline,
 )
 from .gallery import (
@@ -42,7 +38,6 @@ from .hashing import (
     bucket_centroids,
     encode,
     encode_many,
-    evaluate_map,
     fit_hash,
     hamming,
     load_hash,
@@ -70,7 +65,6 @@ from .raster import (
     merge_tiles,
     read_window,
     scene_area_sqkm,
-    split_mask,
     tile_extents,
     write_scene,
 )
@@ -83,7 +77,6 @@ __all__ = [
     "BucketModel",
     "CentroidTable",
     "ClusterModel",
-    "DeviceCostModel",
     "DevicePool",
     "GalleryRecord",
     "HashFunction",
@@ -101,7 +94,6 @@ __all__ = [
     "SceneCatalog",
     "SceneRef",
     "SegMetrics",
-    "SimulatedDevice",
     "StarvationError",
     "Ticket",
     "Tile",
@@ -113,7 +105,6 @@ __all__ = [
     "compute_speedup",
     "encode",
     "encode_many",
-    "evaluate_map",
     "extract_features",
     "fit_clusters",
     "fit_hash",
@@ -125,9 +116,7 @@ __all__ = [
     "load_hash",
     "load_model",
     "load_scene_header",
-    "make_virtual_scenes",
     "merge_tiles",
-    "predicted_wall_s",
     "read_window",
     "run_pipeline",
     "save_hash",
@@ -135,7 +124,6 @@ __all__ = [
     "scene_area_sqkm",
     "seg_metrics",
     "select_bucket_count",
-    "split_mask",
     "tile_extents",
     "train_bucket_model",
     "write_scene",

@@ -39,14 +39,7 @@ from .embedding import (
     select_bucket_count,
     ward_tree,
 )
-from .executor import (
-    DeviceCostModel,
-    PipelineAssets,
-    PipelineError,
-    SimulatedDevice,
-    make_virtual_scenes,
-    run_pipeline,
-)
+from .executor import PipelineAssets, PipelineError, run_pipeline
 from .gallery import (
     GalleryError,
     GalleryRecord,
@@ -64,13 +57,7 @@ from .hashing import (
     load_hash,
     save_hash,
 )
-from .models import (
-    ModelError,
-    TrainConfig,
-    save_model,
-    seg_metrics,
-    train_bucket_model,
-)
+from .models import ModelError, save_model, seg_metrics, train_bucket_model
 from .pool import DevicePool, PoolError
 from .raster import (
     Mask,
@@ -107,14 +94,6 @@ def _ws_paths(workspace) -> dict[str, Path]:
     }
 
 
-def _simulated_device(config: RunConfig) -> SimulatedDevice:
-    cost_model = DeviceCostModel(
-        base_ms=config.cost_base_ms,
-        ms_per_megapixel=config.cost_ms_per_megapixel,
-    )
-    return SimulatedDevice(cost_model, config.distributions, config.tile_px)
-
-
 def _catalog(paths) -> SceneCatalog:
     """The workspace's scenes; a manifest that lists none is a data error."""
     catalog = SceneCatalog.from_manifest(paths["manifest"])
@@ -123,12 +102,23 @@ def _catalog(paths) -> SceneCatalog:
     return catalog
 
 
+def _warn_torn(gallery) -> None:
+    if gallery.dropped_bytes:
+        print(
+            f"warning: dropped {gallery.dropped_bytes} bytes of a torn final line "
+            f"in {gallery.path}",
+            file=sys.stderr,
+        )
+
+
 def _open_model_gallery(paths, table: CentroidTable) -> ModelGallery:
     """The model gallery ``train`` wrote; a missing one is a data error, never created."""
     path = paths["model_gallery"]
     if not path.exists():
         raise FileNotFoundError(f"model gallery not found: {path} (run train first)")
-    return ModelGallery(path, table)
+    registry = ModelGallery(path, table)
+    _warn_torn(registry)
+    return registry
 
 
 def _warn_failures(result) -> None:
@@ -247,12 +237,8 @@ def cmd_train(config: RunConfig, workspace) -> int:
     with ImageGallery(paths["gallery"], centroids=table) as gallery, ModelGallery(
         paths["model_gallery"], table
     ) as registry:
-        if gallery.dropped_bytes:
-            print(
-                f"warning: dropped {gallery.dropped_bytes} bytes of a torn final line "
-                f"in {paths['gallery']}",
-                file=sys.stderr,
-            )
+        _warn_torn(gallery)
+        _warn_torn(registry)
         for bucket_id, centroid in table.items():
             records = gallery.query_by_bucket(bucket_id)
             if not records:
@@ -273,7 +259,7 @@ def cmd_train(config: RunConfig, workspace) -> int:
                 val = samples
                 train = samples
             try:
-                model = train_bucket_model(train, TrainConfig(seed=config.seed))
+                model = train_bucket_model(train)
             except ModelError as e:
                 print(f"warning: bucket {bucket_id} skipped: {e}", file=sys.stderr)
                 continue
@@ -367,19 +353,13 @@ def cmd_bench(config: RunConfig, workspace, workers_list, scene_counts, out_path
         raise ConfigError("bench sweep must list at least one workers and scenes value")
     paths = _ws_paths(workspace)
     out_path = Path(out_path) if out_path else paths["root"] / "bench.csv"
-    if config.simulate:
-        device = _simulated_device(config)
-        all_scenes = make_virtual_scenes(
-            max(scene_counts), config.scene_px, config.scene_px, gsd_m=config.gsd_m
-        )
-    else:
-        all_scenes = list(_catalog(paths))
-        table = CentroidTable.load(paths["centroids"])
-        device = PipelineAssets(
-            hash_fn=load_hash(paths["hash"]),
-            centroids=table,
-            model_gallery=_open_model_gallery(paths, table),
-        )
+    all_scenes = list(_catalog(paths))
+    table = CentroidTable.load(paths["centroids"])
+    device = PipelineAssets(
+        hash_fn=load_hash(paths["hash"]),
+        centroids=table,
+        model_gallery=_open_model_gallery(paths, table),
+    )
     rows = []
     for n_scenes in scene_counts:
         if n_scenes > len(all_scenes):

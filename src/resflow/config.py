@@ -10,6 +10,8 @@ import os
 from dataclasses import dataclass, fields
 from pathlib import Path
 
+from .hashing import MAX_LABELS
+
 SEED_ENV_VAR = "RESFLOW_SEED"
 
 
@@ -30,9 +32,6 @@ class RunConfig:
     devices: int = 4
     tickets_per_device: int = 2
     ticket_timeout_s: float = 30.0
-    simulate: bool = False
-    cost_base_ms: float = 5.0
-    cost_ms_per_megapixel: float = 1.0
     batch: int = 12
     seed: int = 0
     task: str = "building"
@@ -50,6 +49,10 @@ class RunConfig:
             raise ConfigError(f"unknown cluster_method {self.cluster_method!r}")
         if self.k < 0 or self.k_min < 1 or self.k_max < self.k_min:
             raise ConfigError("bucket count range is inconsistent")
+        if max(self.k, self.k_max) > MAX_LABELS:
+            raise ConfigError(
+                f"k and k_max must be at most {MAX_LABELS}, the most buckets fit_hash scores"
+            )
         if min(self.workers, self.devices, self.tickets_per_device, self.batch) < 1:
             raise ConfigError("workers, devices, tickets_per_device, batch must be >= 1")
         if self.scenes < 1 or self.scene_px < 1:
@@ -62,8 +65,6 @@ class RunConfig:
 
 
 def _render(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, float):
         return repr(value)
     return str(value)
@@ -72,13 +73,6 @@ def _render(value) -> str:
 def _parse_value(raw: str, typ, key: str):
     raw = raw.strip()
     try:
-        if typ is bool:
-            lowered = raw.lower()
-            if lowered in ("true", "1", "yes"):
-                return True
-            if lowered in ("false", "0", "no"):
-                return False
-            raise ValueError(f"not a boolean: {raw!r}")
         if typ is int:
             return int(raw)
         if typ is float:

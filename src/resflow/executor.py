@@ -8,19 +8,16 @@ exists, and a scene merges only after all its tiles finish B; the engine
 runs A, B, C as barriered phases, which satisfies both constraints and keeps
 the read ledger exactly at two passes per scene.
 
-The device is the only thing that differs between a real run and a
-cost-model run. It offers four calls, which the stages make without branching:
+The device offers three calls, which the stages make without branching:
 
     embed(scene, exts, ledger) -> [(code, bucket)], one per extent
     model(bucket, task) -> model, or ModelGapError
     label(model, scene, ext, ledger) -> Mask
-    merge_pause(scene)
 
 plus an ``image_gallery`` that stage A indexes its tiles into, or None.
-``PipelineAssets`` is the real device: it reads windows, describes, hashes
-and labels them with the fitted artifacts. ``SimulatedDevice`` does no pixel
-work: it records the same ledger reads and sleeps as long as a device cost
-model says, which is what the scaling-shape checks exercise.
+``PipelineAssets`` is the device: it reads windows, describes, hashes and
+labels them with the fitted artifacts. Stage C merges on the host and makes
+no device call.
 
 The run's shape comes from the CLI's one ``RunConfig``. Descriptor and code
 widths come from the fitted artifacts, so ``feature_dim`` and ``n_bits``
@@ -36,14 +33,11 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 import random
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
-
-import numpy as np
 
 from .config import RunConfig
 from .embedding import extract_features
@@ -70,21 +64,6 @@ BASELINE_S_PER_SCENE = 2100.0
 
 class PipelineError(RuntimeError):
     pass
-
-
-@dataclass(frozen=True)
-class DeviceCostModel:
-    """Synthetic device timing: a fixed cost per call plus a cost per pixel."""
-
-    base_ms: float = 5.0
-    ms_per_megapixel: float = 1.0
-
-    def __post_init__(self):
-        if min(self.base_ms, self.ms_per_megapixel) < 0:
-            raise PipelineError("cost model coefficients must be non-negative")
-
-    def service_s(self, w: int, h: int) -> float:
-        return (self.base_ms + (w * h / 1e6) * self.ms_per_megapixel) / 1e3
 
 
 @dataclass
@@ -148,7 +127,7 @@ def group_by_scene(results) -> dict[str, list[tuple[TileExtent, Mask]]]:
 
 @dataclass
 class PipelineAssets:
-    """Fitted artifacts: the device of a real run.
+    """Fitted artifacts: the device that ``infer`` and ``bench`` run on.
 
     ``embed`` reads a stage-A chunk's windows one by one and describes the
     chunk in one ``extract_features`` call at the hash's input width; its
@@ -178,65 +157,6 @@ class PipelineAssets:
 
     def label(self, model: BucketModel, scene: SceneRef, ext: TileExtent, ledger: ReadLedger) -> Mask:
         return model.infer(read_window(scene, ext, ledger, STAGE_INFER))
-
-    def merge_pause(self, scene: SceneRef) -> None:
-        pass
-
-
-class SimulatedDevice:
-    """A device that does no pixel work and takes as long as a cost model says.
-
-    Each tile records its window read in the ledger and sleeps for the cost
-    model's service time of its extent; a tile's bucket is its row-major
-    position in the tile plan modulo ``buckets``, and every label is all
-    zeros. Merging a scene costs one service pass over its full area. Platform
-    timers overshoot short sleeps, so each thread carries the time it still
-    owes (negative after an overshoot) into its next sleep; a worker's total
-    then matches the cost model instead of drifting by one overshoot per tile.
-    """
-
-    image_gallery = None
-
-    def __init__(self, cost_model: DeviceCostModel, buckets: int, tile_px: int):
-        self.cost_model = cost_model
-        self.buckets = buckets
-        self.tile_px = tile_px
-        self._plans: dict[str, dict[TileExtent, int]] = {}
-        self._owed = threading.local()
-
-    def _pause(self, seconds: float) -> None:
-        owed = getattr(self._owed, "s", 0.0) + seconds
-        if owed > 0:
-            t0 = time.perf_counter()
-            time.sleep(owed)
-            owed -= time.perf_counter() - t0
-        self._owed.s = owed
-
-    def _read(self, scene: SceneRef, ext: TileExtent, ledger: ReadLedger, stage: str) -> None:
-        nbytes = ext.w * ext.h * scene.bands * scene.np_dtype.itemsize
-        ledger.record(scene.scene_id, stage, nbytes)
-        self._pause(self.cost_model.service_s(ext.w, ext.h))
-
-    def embed(
-        self, scene: SceneRef, exts: list[TileExtent], ledger: ReadLedger
-    ) -> list[tuple[None, int]]:
-        plan = self._plans.get(scene.scene_id)
-        if plan is None:  # threads racing here build equal plans
-            extents = tile_extents(scene, self.tile_px)
-            plan = self._plans[scene.scene_id] = {e: j for j, e in enumerate(extents)}
-        for ext in exts:
-            self._read(scene, ext, ledger, STAGE_EMBED)
-        return [(None, plan[ext] % self.buckets) for ext in exts]
-
-    def model(self, bucket: int, task: str) -> None:
-        return None
-
-    def label(self, model: None, scene: SceneRef, ext: TileExtent, ledger: ReadLedger) -> Mask:
-        self._read(scene, ext, ledger, STAGE_INFER)
-        return Mask(w=ext.w, h=ext.h, labels=np.zeros((ext.h, ext.w), dtype=np.uint8))
-
-    def merge_pause(self, scene: SceneRef) -> None:
-        self._pause(self.cost_model.service_s(scene.width_px, scene.height_px))
 
 
 @dataclass
@@ -291,8 +211,8 @@ def run_pipeline(
     (the scheduler shuffle) and ``ticket_timeout_s``, and is validated
     (``ConfigError``) before any thread starts; its ``feature_dim`` and
     ``n_bits`` are unused, as the device's artifacts fix both. ``pool``
-    hands out the tickets. ``device`` is ``PipelineAssets`` for a real run or
-    ``SimulatedDevice`` for a cost-model run. A bucket whose model lookup
+    hands out the tickets. ``device`` makes the three calls of the module
+    docstring; the CLI passes ``PipelineAssets``. A bucket whose model lookup
     raises ``ModelGapError`` fails only that bucket's tiles; every scene it
     touches is reported in ``failures``, left unmerged and left out of the
     metrics' scene, tile and area counts. Any other error stops the run:
@@ -395,7 +315,6 @@ def run_pipeline(
 
     def do_stage_c(worker_id: int, scene: SceneRef):
         labeled = grouped[scene.scene_id]
-        device.merge_pause(scene)
         mask = merge_tiles(scene.scene_id, labeled, width=scene.width_px, height=scene.height_px)
         return scene.scene_id, mask
 
@@ -417,49 +336,3 @@ def run_pipeline(
         metrics.reads_per_scene[scene.scene_id] = passes
     return RunOutput(masks=masks, metrics=metrics, failures=failures)
 
-
-def make_virtual_scenes(
-    count: int,
-    width_px: int,
-    height_px: int,
-    bands: int = 3,
-    dtype: str = "u8",
-    gsd_m: float = 0.5,
-) -> list[SceneRef]:
-    """Descriptor-only scenes for ``SimulatedDevice`` runs; never read from disk."""
-    return [
-        SceneRef(
-            scene_id=f"sim{i:03d}",
-            path=f"sim://scene/{i}",
-            width_px=width_px,
-            height_px=height_px,
-            bands=bands,
-            dtype=dtype,
-            gsd_m=gsd_m,
-        )
-        for i in range(count)
-    ]
-
-
-def predicted_wall_s(
-    scenes: list[SceneRef],
-    cost_model: DeviceCostModel,
-    tile_px: int,
-    workers: int,
-    tickets_total: int,
-) -> float:
-    """Analytic queue model for ``SimulatedDevice`` wall time.
-
-    Stages A and B are a single pool-limited phase: their summed serial cost
-    divided by min(workers, tickets_total). Merging is serial per scene and
-    parallel across scenes up to the worker count; its per-scene cost is the
-    cost model's full-scene service time, matching ``SimulatedDevice.merge_pause``.
-    """
-    total = 0.0
-    for scene in scenes:
-        for ext in tile_extents(scene, tile_px):
-            total += 2.0 * cost_model.service_s(ext.w, ext.h)
-    merge_s = max(cost_model.service_s(s.width_px, s.height_px) for s in scenes)
-    conc = min(workers, tickets_total)
-    merge_conc = min(workers, len(scenes))
-    return total / conc + merge_s * math.ceil(len(scenes) / merge_conc)

@@ -5,11 +5,11 @@ rebuilt on open: crash-simple, diff-friendly, and fast enough for the record
 counts this engine handles. Records are immutable once written; writes go
 through a single writer per instance while reads are free.
 
-A crash mid-append can leave the image gallery's last line without its
-newline. Opening drops that torn tail and counts its bytes in
-``ImageGallery.dropped_bytes``; the next append first truncates the file to
-its last complete line. A malformed line that does end in a newline is still
-a ``GalleryError``.
+A crash mid-append can leave a gallery's last line without its newline.
+Opening either gallery drops that torn tail and counts its bytes in
+``dropped_bytes``; the next append first truncates the file to its last
+complete line. Any other malformed line, a token that does not parse, and a
+non-ASCII byte are a ``GalleryError``.
 
 Image gallery line format (space separated, dash for absent optionals):
 
@@ -108,47 +108,42 @@ def line_to_record(line: str, n_bits: int) -> tuple[int, GalleryRecord]:
     parts = line.split()
     if len(parts) != 11:
         raise GalleryError(f"malformed gallery line ({len(parts)} fields): {line!r}")
-    rid = int(parts[0])
-    geo = None
-    if parts[9] != "-":
-        vals = tuple(float(v) for v in parts[9].split(","))
-        if len(vals) != 4:
-            raise GalleryError(f"geo_bbox needs 4 values: {parts[9]!r}")
-        geo = vals
-    record = GalleryRecord(
-        code=BinaryCode.from_hex(parts[1], n_bits),
-        bucket_id=int(parts[2]),
-        scene_id=parts[3],
-        extent=TileExtent(parts[3], int(parts[4]), int(parts[5]), int(parts[6]), int(parts[7])),
-        storage_path=unquote(parts[8]),
-        geo_bbox=geo,
-        acquired_at=None if parts[10] == "-" else parts[10],
-    )
+    try:
+        geo = None if parts[9] == "-" else tuple(float(v) for v in parts[9].split(","))
+        record = GalleryRecord(
+            code=BinaryCode.from_hex(parts[1], n_bits),
+            bucket_id=int(parts[2]),
+            scene_id=parts[3],
+            extent=TileExtent(parts[3], int(parts[4]), int(parts[5]), int(parts[6]), int(parts[7])),
+            storage_path=unquote(parts[8]),
+            geo_bbox=geo,
+            acquired_at=None if parts[10] == "-" else parts[10],
+        )
+        rid = int(parts[0])
+    except ValueError as e:  # a token int(), float() or from_hex rejects
+        raise GalleryError(f"malformed gallery line ({e}): {line!r}") from None
+    if geo is not None and len(geo) != 4:
+        raise GalleryError(f"geo_bbox needs 4 values: {parts[9]!r}")
     return rid, record
 
 
-class ImageGallery:
-    """Append-only tile index, queryable by bucket."""
+class _AppendLog:
+    """The file side both galleries share: one reader on open, one writer after.
 
-    def __init__(self, path, n_bits: int | None = None, centroids: CentroidTable | None = None):
+    ``_read`` takes the whole file, drops and counts a torn final line, decodes
+    the rest as ASCII and checks the header; the first ``_append`` truncates
+    the torn tail before it writes.
+    """
+
+    def __init__(self, path):
         self.path = Path(path)
-        self.centroids = centroids
-        self._records: list[GalleryRecord] = []
-        self._by_bucket: dict[int, list[int]] = {}
-        self._lock = threading.Lock()
-        self._fh = None
         self.dropped_bytes = 0
         self._torn_at: int | None = None  # length to truncate to before the next append
-        if self.path.exists():
-            self._load(expected_bits=n_bits)
-        else:
-            if n_bits is None:
-                raise GalleryError("n_bits required to create a new gallery")
-            self.n_bits = int(n_bits)
-            with open(self.path, "w", encoding="ascii") as f:
-                f.write(f"{IMAGE_HEADER} n_bits={self.n_bits}\n")
+        self._lock = threading.Lock()
+        self._fh = None
 
-    def _load(self, expected_bits: int | None):
+    def _read(self, header_pattern: str) -> tuple[re.Match, list[str]]:
+        """The header's match of ``header_pattern`` and the non-blank record lines."""
         raw = self.path.read_bytes()
         complete = raw.rfind(b"\n") + 1
         self.dropped_bytes = len(raw) - complete
@@ -158,15 +153,60 @@ class ImageGallery:
             header, *lines = raw[:complete].decode("ascii").split("\n")
         except UnicodeDecodeError as e:
             raise GalleryError(f"non-ASCII byte at offset {e.start} of {self.path}") from None
-        header = header.split()
-        if len(header) != 2 or header[0] != IMAGE_HEADER or not header[1].startswith("n_bits="):
+        match = re.fullmatch(header_pattern, header)
+        if match is None:
             raise GalleryError(f"malformed gallery header in {self.path}")
-        self.n_bits = int(header[1].split("=", 1)[1])
+        return match, [line for line in lines if line.strip()]
+
+    def _create(self, header: str) -> None:
+        with open(self.path, "w", encoding="ascii") as f:
+            f.write(header + "\n")
+
+    def _append(self, line: str) -> None:
+        """Write one line; the caller holds ``_lock``."""
+        if self._fh is None:
+            if self._torn_at is not None:
+                os.truncate(self.path, self._torn_at)
+                self._torn_at = None
+            self._fh = open(self.path, "a", encoding="ascii")
+        self._fh.write(line)
+        self._fh.flush()
+
+    def close(self):
+        with self._lock:
+            if self._fh is not None:
+                self._fh.close()
+                self._fh = None
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+
+
+class ImageGallery(_AppendLog):
+    """Append-only tile index, queryable by bucket."""
+
+    def __init__(self, path, n_bits: int | None = None, centroids: CentroidTable | None = None):
+        super().__init__(path)
+        self.centroids = centroids
+        self._records: list[GalleryRecord] = []
+        self._by_bucket: dict[int, list[int]] = {}
+        if self.path.exists():
+            self._load(expected_bits=n_bits)
+        else:
+            if n_bits is None:
+                raise GalleryError("n_bits required to create a new gallery")
+            self.n_bits = int(n_bits)
+            self._create(f"{IMAGE_HEADER} n_bits={self.n_bits}")
+
+    def _load(self, expected_bits: int | None):
+        header, lines = self._read(rf"{IMAGE_HEADER} n_bits=([0-9]+)")
+        self.n_bits = int(header[1])
         if expected_bits is not None and expected_bits != self.n_bits:
             raise GalleryError(f"gallery has n_bits={self.n_bits}, expected {expected_bits}")
         for line in lines:
-            if not line.strip():
-                continue
             rid, record = line_to_record(line, self.n_bits)
             if rid != len(self._records):
                 raise GalleryError(f"non-monotone record_id {rid} in {self.path}")
@@ -195,37 +235,16 @@ class ImageGallery:
             _check_token(record.acquired_at, "acquired_at")
         with self._lock:
             rid = len(self._records)
-            if self._fh is None:
-                if self._torn_at is not None:
-                    os.truncate(self.path, self._torn_at)
-                    self._torn_at = None
-                self._fh = open(self.path, "a", encoding="ascii")
-            self._fh.write(record_to_line(rid, record))
-            self._fh.flush()
+            self._append(record_to_line(rid, record))
             self._index(rid, record)
             return rid
 
     def __len__(self):
         return len(self._records)
 
-    def record(self, rid: int) -> GalleryRecord:
-        return self._records[rid]
-
     def query_by_bucket(self, bucket_id: int) -> list[GalleryRecord]:
         """All records of the bucket in insertion order; unknown bucket is empty."""
         return [self._records[rid] for rid in self._by_bucket.get(bucket_id, [])]
-
-    def close(self):
-        with self._lock:
-            if self._fh is not None:
-                self._fh.close()
-                self._fh = None
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
 
 
 @dataclass(frozen=True)
@@ -244,40 +263,37 @@ def model_record_to_line(r: ModelRecord) -> str:
     return f"{r.bucket_code.to_hex()} {r.task} {r.version} {_escape_path(r.artifact_path)} {f1!r}\n"
 
 
-class ModelGallery:
+def line_to_model_record(line: str, width: int) -> ModelRecord:
+    parts = line.split()
+    if len(parts) != 5:
+        raise GalleryError(f"malformed model gallery line: {line!r}")
+    try:
+        return ModelRecord(
+            bucket_code=BinaryCode.from_hex(parts[0], width),
+            task=parts[1],
+            version=int(parts[2]),
+            artifact_path=unquote(parts[3]),
+            train_stats={"f1": float(parts[4])},
+        )
+    except ValueError as e:  # a token int(), float() or from_hex rejects
+        raise GalleryError(f"malformed model gallery line ({e}): {line!r}") from None
+
+
+class ModelGallery(_AppendLog):
     """Versioned (bucket, task) -> model registry; lookups return the newest."""
 
     def __init__(self, path, centroids: CentroidTable):
-        self.path = Path(path)
+        super().__init__(path)
         self.centroids = centroids
         self._known = {code.bits for _, code in centroids.items()}
         self._by_key: dict[tuple[int, str], list[ModelRecord]] = {}
-        self._lock = threading.Lock()
-        self._fh = None
         if self.path.exists():
-            self._load()
-        else:
-            with open(self.path, "w", encoding="ascii") as f:
-                f.write(f"{MODEL_HEADER}\n")
-
-    def _load(self):
-        with open(self.path, "r", encoding="ascii") as f:
-            if f.readline().strip() != MODEL_HEADER:
-                raise GalleryError(f"malformed model gallery header in {self.path}")
-            for line in f:
-                parts = line.split()
-                if not parts:
-                    continue
-                if len(parts) != 5:
-                    raise GalleryError(f"malformed model gallery line: {line!r}")
-                record = ModelRecord(
-                    bucket_code=BinaryCode.from_hex(parts[0], self.centroids.width),
-                    task=parts[1],
-                    version=int(parts[2]),
-                    artifact_path=unquote(parts[3]),
-                    train_stats={"f1": float(parts[4])},
-                )
+            _header, lines = self._read(MODEL_HEADER)
+            for line in lines:
+                record = line_to_model_record(line, centroids.width)
                 self._by_key.setdefault((record.bucket_code.bits, record.task), []).append(record)
+        else:
+            self._create(MODEL_HEADER)
 
     def next_version(self, bucket_code: BinaryCode, task: str) -> int:
         versions = [r.version for r in self._by_key.get((bucket_code.bits, task), [])]
@@ -300,10 +316,7 @@ class ModelGallery:
                 artifact_path=record.artifact_path,
                 train_stats=dict(record.train_stats),
             )
-            if self._fh is None:
-                self._fh = open(self.path, "a", encoding="ascii")
-            self._fh.write(model_record_to_line(stored))
-            self._fh.flush()
+            self._append(model_record_to_line(stored))
             self._by_key.setdefault((stored.bucket_code.bits, stored.task), []).append(stored)
             return version
 
@@ -313,15 +326,3 @@ class ModelGallery:
         if not records:
             raise ModelGapError(bucket_code, task)
         return max(records, key=lambda r: r.version)
-
-    def close(self):
-        with self._lock:
-            if self._fh is not None:
-                self._fh.close()
-                self._fh = None
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()

@@ -3,8 +3,9 @@
 The hash is a bank of thresholded hyperplanes picked by seeded search: for
 each output bit, unit candidate directions are drawn, scored by how well the
 induced bipartition matches the best split of the training labels (balanced
-accuracy), and the winner is kept subject to a de-correlation cap against
-previously accepted bits. Thresholds sit at the projection median, so bucket
+accuracy over every bipartition of the at most ``MAX_LABELS`` labels), and
+the winner is kept subject to a de-correlation cap against previously
+accepted bits. Thresholds sit at the projection median, so bucket
 assignments are invariant to positive rescaling of the embedding space.
 
 Each bit is chosen in whole-matrix steps rather than per candidate: label
@@ -26,6 +27,8 @@ import numpy as np
 
 HASH_MAGIC = b"HSH1"
 CENTROID_HEADER = "CTAB1"
+# fit_hash scores all 2**k - 2 label bipartitions per bit, so k stays small.
+MAX_LABELS = 12
 
 
 class HashError(ValueError):
@@ -136,40 +139,20 @@ def _subset_matrix(k: int) -> np.ndarray:
     return ((masks[:, None] >> np.arange(k)[None, :]) & 1).astype(np.float64)
 
 
-def _best_split_scores(ones: np.ndarray, counts: np.ndarray, subsets: np.ndarray | None) -> np.ndarray:
+def _best_split_scores(ones: np.ndarray, counts: np.ndarray, subsets: np.ndarray) -> np.ndarray:
     """Best balanced accuracy over label bipartitions, per candidate column.
 
     ``ones[g, c]`` counts the points of label ``g`` whose candidate bit ``c``
-    is set. Exhaustive over ``subsets`` (``_subset_matrix(k)``) for small
-    label counts; greedy one-rate prefix splits when ``subsets`` is None.
+    is set. Every bipartition is scored: ``subsets`` is ``_subset_matrix(k)``.
     """
-    n_cand = ones.shape[1]
     n = counts.sum()
-    total_ones = ones.sum(axis=0)
-    if subsets is not None:
-        sel_ones = subsets @ ones
-        sel_n = (subsets @ counts)[:, None]
-        pos = sel_ones / sel_n
-        neg = (total_ones[None, :] - sel_ones) / (n - sel_n)
-        bal = (pos + (1.0 - neg)) / 2.0
-        # Complement subsets are in the enumeration, so 1 - bal is covered.
-        return bal.max(axis=0)
-    scores = np.zeros(n_cand)
-    for ci in range(n_cand):
-        rates = ones[:, ci] / counts
-        order = np.argsort(-rates, kind="stable")
-        best = 0.5
-        sel_o = 0.0
-        sel_c = 0.0
-        for g in order[:-1]:
-            sel_o += ones[g, ci]
-            sel_c += counts[g]
-            pos = sel_o / sel_c
-            neg = (total_ones[ci] - sel_o) / (n - sel_c)
-            bal = (pos + (1.0 - neg)) / 2.0
-            best = max(best, bal, 1.0 - bal)
-        scores[ci] = best
-    return scores
+    sel_ones = subsets @ ones
+    sel_n = (subsets @ counts)[:, None]
+    pos = sel_ones / sel_n
+    neg = (ones.sum(axis=0)[None, :] - sel_ones) / (n - sel_n)
+    bal = (pos + (1.0 - neg)) / 2.0
+    # Complement subsets are in the enumeration, so 1 - bal is covered.
+    return bal.max(axis=0)
 
 
 def fit_hash(
@@ -183,11 +166,12 @@ def fit_hash(
     """Fit the hyperplane bank against cluster soft-labels.
 
     Per bit: draw ``candidates`` unit directions from the seeded stream,
-    threshold each at its projection median, score by the best-label-split
-    balanced accuracy, and accept the top scorer whose bit pattern agrees
-    with every previously accepted bit on at most ``max_agreement`` of the
-    training points (falling back to the top scorer when all are too
-    correlated). Deterministic given the seed.
+    threshold each at its projection median, score by the best balanced
+    accuracy over every bipartition of the labels, and accept the top scorer
+    whose bit pattern agrees with every previously accepted bit on at most
+    ``max_agreement`` of the training points (falling back to the top scorer
+    when all are too correlated). Deterministic given the seed. The labels
+    must take 2 to ``MAX_LABELS`` distinct values, else ``HashError``.
 
     Each bit is chosen in whole-matrix steps over the 0/1 float64 candidate
     bits ``B`` (n, candidates): one label one-hot product gives every
@@ -204,8 +188,8 @@ def fit_hash(
         raise HashError("embeddings must be (n, dim) with one label per row")
     uniq, label_idx = np.unique(y, return_inverse=True)
     k = len(uniq)
-    if k < 2:
-        raise HashError(f"need at least 2 distinct labels, got {k}")
+    if not 2 <= k <= MAX_LABELS:
+        raise HashError(f"need 2 to {MAX_LABELS} distinct labels, got {k}")
     min_bits = max((k - 1).bit_length(), 1)
     if n_bits < min_bits:
         raise HashError(f"n_bits={n_bits} too small for {k} buckets (need >= {min_bits})")
@@ -214,7 +198,7 @@ def fit_hash(
     n = len(E)
     counts = np.bincount(label_idx, minlength=k).astype(np.float64)
     onehot = (np.arange(k)[:, None] == label_idx[None, :]).astype(np.float64)
-    subsets = _subset_matrix(k) if k <= 12 else None
+    subsets = _subset_matrix(k)
 
     rng = np.random.default_rng(seed)
     accepted = np.empty((n_bits, n))
@@ -336,50 +320,6 @@ def assign_bucket(code: BinaryCode, table: CentroidTable) -> int:
             best_d = d
             best_id = bid
     return best_id
-
-
-@dataclass(frozen=True)
-class MeanAveragePrecision:
-    """mAP with a count of queries skipped for lacking any same-label peer."""
-
-    value: float
-    queries: int
-    skipped_queries: int
-
-    def __float__(self):
-        return self.value
-
-
-def evaluate_map(codes, labels) -> MeanAveragePrecision:
-    """Ranking quality of codes against labels.
-
-    Each item queries all others ranked by hamming distance ascending, ties
-    broken by insertion index. AP averages precision-at-rank over the
-    positions holding same-label items; mAP averages AP over queries.
-    """
-    codes = list(codes)
-    y = np.asarray(labels)
-    n = len(codes)
-    if n < 2 or len(y) != n:
-        raise HashError("need >= 2 items with one label per code")
-    B = codes_to_matrix(codes).astype(np.int16)
-    aps = []
-    skipped = 0
-    idx = np.arange(n)
-    for q in range(n):
-        others = idx != q
-        rel_all = (y == y[q]) & others
-        if not rel_all.any():
-            skipped += 1
-            continue
-        dist = np.abs(B[others] - B[q]).sum(axis=1)
-        order = np.lexsort((idx[others], dist))
-        rel = rel_all[others][order]
-        precision = np.cumsum(rel) / np.arange(1, len(rel) + 1)
-        aps.append(float(precision[rel].mean()))
-    if not aps:
-        raise HashError("every query was skipped; no label has two members")
-    return MeanAveragePrecision(value=float(np.mean(aps)), queries=len(aps), skipped_queries=skipped)
 
 
 def save_hash(path, h: HashFunction) -> None:

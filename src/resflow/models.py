@@ -46,7 +46,6 @@ class BucketModel(Protocol):
 class TrainConfig:
     epochs: int = 200
     learning_rate: float = 0.1
-    seed: int = 0
 
 
 @dataclass(frozen=True)

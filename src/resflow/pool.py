@@ -19,10 +19,6 @@ class PoolError(RuntimeError):
     pass
 
 
-class PoolClosedError(PoolError):
-    pass
-
-
 class StarvationError(PoolError):
     """Checkout timed out; carries the outstanding-per-device snapshot."""
 
@@ -74,7 +70,6 @@ class DevicePool:
         self._outstanding: dict[int, set[int]] = {d: set() for d in self.devices}
         self._device_of: dict[int, int] = {}
         self._next_ticket = 0
-        self._closed = False
         self._cond = threading.Condition()
         self.events: list[PoolEvent] = []
 
@@ -99,8 +94,6 @@ class DevicePool:
         deadline = None if timeout is None else time.monotonic() + timeout
         with self._cond:
             while True:
-                if self._closed:
-                    raise PoolClosedError("pool is closed")
                 device = self._free_device()
                 if device is not None:
                     ticket = Ticket(device_id=device, ticket_id=self._next_ticket, holder=worker_id)
@@ -136,11 +129,6 @@ class DevicePool:
                 PoolEvent(time.time(), ticket.holder, "return", device, ticket.ticket_id)
             )
             self._cond.notify()
-
-    def close(self) -> None:
-        with self._cond:
-            self._closed = True
-            self._cond.notify_all()
 
     def write_event_log(self, path) -> None:
         with self._cond:

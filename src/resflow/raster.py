@@ -307,15 +307,6 @@ def tile_extents(scene: SceneRef, tile_px: int) -> list[TileExtent]:
     return grid_extents(scene.scene_id, scene.width_px, scene.height_px, tile_px)
 
 
-def split_mask(scene_id: str, mask: Mask, tile_px: int) -> list[tuple[TileExtent, Mask]]:
-    """Cut a mask into per-extent masks along the same grid used for scenes."""
-    out = []
-    for ext in grid_extents(scene_id, mask.w, mask.h, tile_px):
-        block = mask.labels[ext.y0 : ext.y0 + ext.h, ext.x0 : ext.x0 + ext.w]
-        out.append((ext, Mask(w=ext.w, h=ext.h, labels=block.copy())))
-    return out
-
-
 def _uncovered_rectangles(covered: np.ndarray) -> list[tuple[int, int, int, int]]:
     # Greedy maximal rectangles over the uncovered region; good enough for
     # error reporting, not a general decomposition.

@@ -137,33 +137,3 @@ def generate_dataset(out_dir, config: RunConfig) -> SynthDataset:
         records=records,
     )
 
-
-def make_texture_tiles(
-    k: int,
-    per_cluster: int,
-    tile_px: int = 48,
-    seed: int = 0,
-    with_buildings: bool = False,
-):
-    """Standalone labeled tiles drawn from the texture signatures.
-
-    Returns (tiles, labels) where labels are the generating distribution ids;
-    used for desk-scale partitioning and retrieval checks.
-    """
-    from .raster import Tile, TileExtent
-
-    if k > len(SIGNATURES):
-        raise ValueError(f"at most {len(SIGNATURES)} texture distributions available, got {k}")
-    rng = np.random.default_rng(seed)
-    tiles, labels = [], []
-    order = np.resize(np.arange(k), k * per_cluster)
-    for i, dist in enumerate(order):
-        sig = SIGNATURES[int(dist)]
-        block = _paint_region(rng, sig, tile_px, tile_px)
-        if with_buildings:
-            truth = np.zeros((tile_px, tile_px), dtype=np.uint8)
-            block, _, _ = _place_buildings(rng, sig, block, truth, tile_px, tile_px)
-        ext = TileExtent(f"synthetic{i:04d}", 0, 0, tile_px, tile_px)
-        tiles.append(Tile(extent=ext, pixels=np.clip(block, 0, 255).astype(np.uint8)))
-        labels.append(int(dist))
-    return tiles, np.array(labels)

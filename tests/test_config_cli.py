@@ -14,7 +14,7 @@ from conftest import WS_OVERRIDES, run_cli
 
 class TestConfig:
     def test_round_trip(self):
-        config = RunConfig(tile_px=256, simulate=True, seed=42, task="roads", gsd_m=0.31)
+        config = RunConfig(tile_px=256, batch=5, seed=42, task="roads", gsd_m=0.31)
         assert parse_config(emit_config(config)) == config
 
     def test_defaults_round_trip(self):
@@ -298,6 +298,37 @@ class TestInferFailures:
         assert "warning: dropped 6 bytes of a torn final line" in capsys.readouterr().err
         assert gallery.read_bytes() == intact + b"16 abc"  # train only reads the gallery
 
+    def test_torn_model_gallery_tail_is_dropped_with_a_warning(self, small_partitioned, capsys):
+        ws = small_partitioned
+        assert small_cli("train", ws) == 0
+        registry = ws / "models" / "model_gallery.mgal"
+        with open(registry, "ab") as f:
+            f.write(b"abc")
+        capsys.readouterr()
+        assert small_cli("infer", ws) == 0
+        assert "warning: dropped 3 bytes of a torn final line" in capsys.readouterr().err
+        assert registry.read_bytes().endswith(b"\nabc")  # infer only reads the registry
+
+    @pytest.mark.parametrize(
+        "command, name, line",
+        [
+            ("train", "partition/image_gallery.igal", b"x 0f 1 scene000 0 0 128 128 p - -\n"),
+            ("infer", "models/model_gallery.mgal", b"{centroid} building x /a 0.5\n"),
+            ("infer", "models/model_gallery.mgal", b"\xff\n"),
+        ],
+        ids=["igal-int", "mgal-int", "mgal-non-ascii"],
+    )
+    def test_bad_gallery_token_is_3(self, small_partitioned, capsys, command, name, line):
+        ws = small_partitioned
+        assert small_cli("train", ws) == 0
+        centroid = (ws / "partition" / "centroids.txt").read_text().splitlines()[1].split()[1]
+        with open(ws / name, "ab") as f:
+            f.write(line.replace(b"{centroid}", centroid.encode()))
+        capsys.readouterr()
+        assert small_cli(command, ws) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "Traceback" not in err
+
     def test_malformed_gallery_line_is_3(self, small_partitioned, capsys):
         with open(small_partitioned / "partition" / "image_gallery.igal", "ab") as f:
             f.write(b"16 abc\n")
@@ -342,27 +373,29 @@ def test_workspace_path_with_space(tmp_path):
 
 
 class TestBenchCommand:
-    def test_csv_shape_and_arithmetic(self, tmp_path):
-        ws = tmp_path / "ws"
+    def test_csv_shape_and_arithmetic(self, trained_workspace, tmp_path):
         out = tmp_path / "bench.csv"
-        code = main(
-            ["bench", "-w", str(ws), "--workers-list", "1,2,4,8", "--scene-counts", "1,12",
-             "--out", str(out), "--set", "simulate=true", "--set", "scene_px=400",
-             "--set", "tile_px=100", "--set", "cost_base_ms=2", "--set", "batch=1"]
+        code = run_cli(
+            ["bench", "-w", str(trained_workspace), "--workers-list", "1,2", "--scene-counts", "1,3",
+             "--out", str(out)]
         )
         assert code == 0
         with out.open() as f:
             rows = list(csv.DictReader(f))
-        assert len(rows) == 8
+        assert [(row["workers"], row["scenes"]) for row in rows] == [
+            ("1", "1"), ("2", "1"), ("1", "3"), ("2", "3")
+        ]
         assert list(rows[0]) == [
             "workers", "scenes", "gb", "sqkm", "wall_s", "speedup",
             "sqkm_per_s", "gb_per_s", "images_per_s", "per_day",
         ]
         for row in rows:
+            # 768-px scenes at 0.5 m
+            assert float(row["sqkm"]) == pytest.approx(int(row["scenes"]) * 0.384**2)
             assert float(row["per_day"]) == pytest.approx(86_400.0 * float(row["sqkm_per_s"]), rel=1e-9)
 
     def test_empty_sweep_is_config_error(self, tmp_path):
-        code = main(["bench", "-w", str(tmp_path), "--workers-list", "", "--set", "simulate=true"])
+        code = main(["bench", "-w", str(tmp_path), "--workers-list", ""])
         assert code == 2
 
 
@@ -403,6 +436,15 @@ class TestExitCodes:
         (ws / "scenes" / "manifest.txt").write_text("s0 s0.rsr\ns1 s1.rsr\n")
         code = main(["partition", "-w", str(ws), "--set", "tile_px=128", "--set", "k=2"])
         assert code == 4
+
+    @pytest.mark.parametrize(
+        "override", ["simulate=true", "cost_base_ms=1", "cost_ms_per_megapixel=1", "k=13", "k_max=13"]
+    )
+    def test_removed_key_or_more_than_twelve_buckets_is_2(self, tmp_path, capsys, override):
+        capsys.readouterr()
+        assert main(["bench", "-w", str(tmp_path), "--set", override]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "Traceback" not in err
 
     def test_missing_config_file_is_2(self, tmp_path):
         assert main(["synth", "-w", str(tmp_path), "-c", str(tmp_path / "none.cfg")]) == 2

@@ -18,9 +18,9 @@ from resflow.embedding import (
     ward_tree,
 )
 from resflow import embedding
-from resflow.synth import make_texture_tiles
 
 from conftest import make_blobs, make_tile
+from simulated import make_texture_tiles
 
 
 def checkerboard(n=4, lo=0, hi=255):

@@ -9,16 +9,12 @@ from resflow import executor
 from resflow.config import ConfigError, RunConfig
 from resflow.embedding import extract_features, fit_clusters
 from resflow.executor import (
-    DeviceCostModel,
     PipelineAssets,
     PipelineError,
     RunMetrics,
-    SimulatedDevice,
     area_rate,
     compute_speedup,
     group_by_scene,
-    make_virtual_scenes,
-    predicted_wall_s,
     run_pipeline,
 )
 from resflow.gallery import ImageGallery, ModelGallery, ModelRecord
@@ -34,9 +30,15 @@ from resflow.raster import (
     tile_extents,
     write_scene,
 )
-from resflow.synth import make_texture_tiles
 
 from conftest import make_mask
+from simulated import (
+    DeviceCostModel,
+    SimulatedDevice,
+    make_texture_tiles,
+    make_virtual_scenes,
+    predicted_wall_s,
+)
 
 
 class TestSpeedupArithmetic:

@@ -12,6 +12,7 @@ from resflow.gallery import (
     ModelRecord,
     RecordInvariantError,
     UnknownBucketError,
+    model_record_to_line,
     record_to_line,
 )
 from resflow.hashing import BinaryCode, CentroidTable, assign_bucket
@@ -82,7 +83,7 @@ class TestImageGallery:
         with ImageGallery(path, n_bits=8, centroids=table) as g:
             g.insert(r)
         with ImageGallery(path, centroids=table) as g:
-            assert g.record(0) == r
+            assert g.query_by_bucket(1) == [r]
 
     def test_durability_byte_identical_answers(self, tmp_path, table):
         rng = np.random.default_rng(0)
@@ -118,7 +119,7 @@ class TestImageGallery:
             g.insert(r)
         assert "/my%20data/100%25%09s%C3%A9.rsr" in path.read_text()
         with ImageGallery(path, centroids=table) as g:
-            assert g.record(0) == r
+            assert g.query_by_bucket(1) == [r]
 
     def test_ordinary_path_bytes_unchanged(self, table):
         r = record_for(BinaryCode(0x0F, 8), table)
@@ -154,6 +155,23 @@ class TestImageGallery:
         path.write_bytes(path.read_bytes()[:-7] + b"\xff\n")
         with pytest.raises(GalleryError, match="non-ASCII byte"):
             ImageGallery(path, centroids=table)
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            b"x 0f 1 sceneA 0 0 16 16 /d/s.rsr - -",
+            b"0 zz 1 sceneA 0 0 16 16 /d/s.rsr - -",
+            b"0 0f one sceneA 0 0 16 16 /d/s.rsr - -",
+            b"0 0f 1 sceneA 0 0 16 1e1 /d/s.rsr - -",
+            b"0 0f 1 sceneA 0 0 16 16 /d/s.rsr 1,2,x,4 -",
+        ],
+        ids=["record_id", "code", "bucket_id", "h", "geo_bbox"],
+    )
+    def test_token_that_does_not_parse_is_gallery_error(self, tmp_path, line):
+        path = tmp_path / "g.igal"
+        path.write_bytes(b"IGAL1 n_bits=8\n" + line + b"\n")
+        with pytest.raises(GalleryError, match="malformed gallery line"):
+            ImageGallery(path)
 
     def test_torn_header_is_malformed(self, tmp_path):
         path = tmp_path / "g.igal"
@@ -211,3 +229,39 @@ class TestModelGallery:
             assert top.version == 2
             assert top.artifact_path == "/m/b.lpm1"
             assert top.train_stats["f1"] == 0.8
+
+    def test_torn_final_line_dropped_then_truncated(self, tmp_path, table):
+        path = tmp_path / "m.mgal"
+        first = ModelRecord(table.codes[0], "building", 1, "/m/a.lpm1", {"f1": 0.9})
+        with ModelGallery(path, table) as g:
+            g.register(first)
+        intact = path.read_bytes()
+        with open(path, "ab") as f:
+            f.write(b"0f building 1 /m")  # a crash cut this append short
+        second = ModelRecord(table.codes[1], "building", 1, "/m/b.lpm1", {"f1": 0.8})
+        with ModelGallery(path, table) as g:
+            assert g.dropped_bytes == 16
+            assert g.lookup(table.codes[0], "building") == first
+            assert path.read_bytes() == intact + b"0f building 1 /m"  # opening writes nothing
+            assert g.register(second) == 1
+        assert path.read_bytes() == intact + model_record_to_line(second).encode()
+        with ModelGallery(path, table) as g:
+            assert g.dropped_bytes == 0
+            assert g.lookup(table.codes[1], "building") == second
+
+    @pytest.mark.parametrize(
+        "line, match",
+        [
+            (b"00 building x /m/a.lpm1 0.5", "malformed model gallery line"),
+            (b"00 building 1 /m/a.lpm1 high", "malformed model gallery line"),
+            (b"zz building 1 /m/a.lpm1 0.5", "malformed model gallery line"),
+            (b"100 building 1 /m/a.lpm1 0.5", "malformed model gallery line"),
+            (b"00 building 1 /m/\xe9.lpm1 0.5", "non-ASCII byte"),
+        ],
+        ids=["version", "f1", "code", "code_too_wide", "non_ascii"],
+    )
+    def test_token_that_does_not_parse_is_gallery_error(self, tmp_path, table, line, match):
+        path = tmp_path / "m.mgal"
+        path.write_bytes(b"MGAL1\n" + line + b"\n")
+        with pytest.raises(GalleryError, match=match):
+            ModelGallery(path, table)

@@ -6,7 +6,6 @@ import pytest
 
 from resflow.pool import (
     DevicePool,
-    PoolClosedError,
     StarvationError,
     Ticket,
     TicketReturnError,
@@ -38,12 +37,6 @@ class TestCheckoutPolicy:
             pool.checkout(2, timeout=0.05)
         assert time.monotonic() - t0 >= 0.05
         assert err.value.snapshot == {0: 1, 1: 1}
-
-    def test_closed_pool(self):
-        pool = DevicePool(1, 1)
-        pool.close()
-        with pytest.raises(PoolClosedError):
-            pool.checkout(0)
 
 
 class TestReturnTicket:

@@ -22,13 +22,13 @@ from resflow.raster import (
     read_mask,
     read_window,
     scene_area_sqkm,
-    split_mask,
     tile_extents,
     write_mask,
     write_scene,
 )
 
 from conftest import make_mask
+from simulated import split_mask
 
 
 def ramp_scene(tmp_path, w=4, h=4, gsd=0.5):
