@@ -255,9 +255,12 @@ def cmd_train(config: RunConfig, workspace) -> int:
             if len(samples) >= 8:
                 val = samples[::4]
                 train = [s for i, s in enumerate(samples) if i % 4 != 0]
+                scored = "val F1"
             else:
+                # Too few tiles to hold some out: F1 is scored on the training tiles.
                 val = samples
                 train = samples
+                scored = "train-set F1"
             try:
                 model = train_bucket_model(train)
             except ModelError as e:
@@ -280,7 +283,10 @@ def cmd_train(config: RunConfig, workspace) -> int:
                     train_stats={"samples": len(train), "f1": f1},
                 )
             )
-            print(f"bucket {bucket_id}: version {version}, {len(train)} tiles, val F1 {f1:.4f}")
+            kind = ""
+            if not model.weights.any():
+                kind = f", constant ({'all building' if model.bias > 0 else 'all background'})"
+            print(f"bucket {bucket_id}: version {version}, {len(train)} tiles{kind}, {scored} {f1:.4f}")
     return EXIT_OK
 
 

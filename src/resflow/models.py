@@ -2,8 +2,9 @@
 
 The engine treats models as pluggable: anything with ``infer(tile) -> Mask``
 can sit in the model gallery. The default LinearPixelModel is a logistic
-pixel classifier over raw band values plus 3x3 local band means, trained by
-fixed-schedule gradient descent so results are deterministic.
+pixel classifier over raw band values plus 3x3 local band means. It is
+trained by Newton steps (IRLS) on the ridge-penalised mean logistic loss,
+run to a fixed stop rule from zero weights, so results are deterministic.
 
 Training and inference share one band-major feature kernel. It writes each
 raw band and each band's local mean to its own contiguous ``(h, w)`` float64
@@ -25,10 +26,19 @@ from typing import Protocol, runtime_checkable
 
 import numpy as np
 from scipy.ndimage import uniform_filter
+from scipy.special import expit
 
 from .raster import Mask, Tile
 
 MODEL_MAGIC = b"LPM1"
+
+# The Newton solve in train_bucket_model: the L2 penalty on the weights, the
+# largest step component at which it stops, its step cap, and the rows per
+# block of the weighted Gram matrix.
+RIDGE = 1e-6
+STEP_TOL = 1e-8
+MAX_NEWTON_STEPS = 25
+GRAM_BLOCK_ROWS = 16_384
 
 
 class ModelError(ValueError):
@@ -40,12 +50,6 @@ class BucketModel(Protocol):
     """Behavior contract for gallery models."""
 
     def infer(self, tile: Tile) -> Mask: ...
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    epochs: int = 200
-    learning_rate: float = 0.1
 
 
 @dataclass(frozen=True)
@@ -110,21 +114,30 @@ class LinearPixelModel:
         return Mask(w=tile.extent.w, h=tile.extent.h, labels=labels)
 
 
-def train_bucket_model(
-    samples: list[tuple[Tile, Mask]],
-    hyper: TrainConfig = TrainConfig(),
-) -> LinearPixelModel:
+def train_bucket_model(samples: list[tuple[Tile, Mask]]) -> LinearPixelModel:
     """Fit the logistic pixel classifier on (tile, truth mask) pairs.
 
-    Full-batch gradient descent from zero weights for a fixed epoch count,
-    with features standardized in place by the training statistics;
-    mean-based updates make a duplicated training set fit the same parameters.
+    Features are standardized in place by the training statistics. The fit
+    minimises the mean logistic loss plus ``RIDGE / 2 * ||weights||**2`` (the
+    bias is not penalised) by undamped Newton steps from zero, that is,
+    iteratively reweighted least squares. It stops once no component of a
+    step reaches ``STEP_TOL``, or after ``MAX_NEWTON_STEPS`` steps. Separable
+    labels have no unpenalised minimum; the ridge gives them one far out
+    along the separating direction, so they take the most steps. Mean-based
+    sums make a duplicated training set fit the same parameters.
 
-    Each epoch is the loss-free form of a mean-logistic-loss gradient step:
-    the same ufuncs and matrix products as the reference loop over
-    ``logistic_loss_grad`` in ``tests/test_models.py``, in the same order, run
-    in one reused n-length buffer, so the fitted parameters match that loop
-    bit for bit.
+    Each step scores the pixels and takes their sigmoid in reused n-length
+    buffers, then forms the gradient ``X.T @ r``, the weight-bias column
+    ``X.T @ s`` and the weighted Gram matrix ``X.T @ (X * s)``, where ``r``
+    is the residual and ``s = p * (1 - p)`` the IRLS weight. The Gram matrix
+    is summed over blocks of ``GRAM_BLOCK_ROWS`` rows through one reused
+    ``(d, GRAM_BLOCK_ROWS)`` weighted block, so no weighted copy of the whole
+    matrix is made; the block is transposed because scaling its long rows is
+    faster than scaling ``d``-wide ones. The ``(d + 1) x (d + 1)`` system is then
+    solved directly.
+
+    A training set whose labels hold one class gets a constant model: zero
+    weights and a bias of +1 (all building) or -1 (all background).
     """
     if not samples:
         raise ModelError("no training samples")
@@ -139,30 +152,51 @@ def train_bucket_model(
         ys.append((truth.labels.ravel() != 0).astype(np.float64))
     X = np.concatenate(xs)
     y = np.concatenate(ys)
-    if y.min() == y.max():
-        raise ModelError("degenerate labels: training set contains a single class")
+    del xs, ys
     mu = X.mean(axis=0)
     sigma = X.std(axis=0)
     sigma[sigma == 0] = 1.0
+    n, d = X.shape
+    w = np.zeros(d)
+    if y.min() == y.max():
+        return LinearPixelModel(weights=w, bias=1.0 if y[0] else -1.0, mu=mu, sigma=sigma, bands=bands)
     X -= mu
     X /= sigma
-    n = len(y)
-    w = np.zeros(X.shape[1])
     b = 0.0
-    r = np.empty(n)
-    for _ in range(hyper.epochs):
-        # r = sigmoid(X @ w + b) - y
-        np.matmul(X, w, out=r)
-        r += b
-        np.negative(r, out=r)
-        np.exp(r, out=r)
-        r += 1.0
-        np.divide(1.0, r, out=r)
-        r -= y
-        gw = X.T @ r / n
-        gb = float(r.mean())
-        w -= hyper.learning_rate * gw
-        b -= hyper.learning_rate * gb
+    z = np.empty(n)
+    p = np.empty(n)
+    s = np.empty(n)
+    block = np.empty((d, min(n, GRAM_BLOCK_ROWS)))
+    grad = np.empty(d + 1)
+    hess = np.empty((d + 1, d + 1))
+    ridge = RIDGE * np.eye(d)
+    for _ in range(MAX_NEWTON_STEPS):
+        np.matmul(X, w, out=z)
+        z += b
+        expit(z, out=p)
+        np.subtract(1.0, p, out=s)
+        s *= p
+        p -= y  # the residual r
+        np.matmul(X.T, p, out=grad[:d])
+        grad[d] = p.sum()
+        hess[:d, :d] = 0.0
+        for lo in range(0, n, GRAM_BLOCK_ROWS):
+            rows = X[lo : lo + GRAM_BLOCK_ROWS]
+            weighted = block[:, : len(rows)]
+            np.multiply(rows.T, s[lo : lo + GRAM_BLOCK_ROWS], out=weighted)
+            hess[:d, :d] += weighted @ rows
+        np.matmul(X.T, s, out=hess[:d, d])
+        hess[d, :d] = hess[:d, d]
+        hess[d, d] = s.sum()
+        grad /= n
+        hess /= n
+        grad[:d] += RIDGE * w
+        hess[:d, :d] += ridge
+        step = np.linalg.solve(hess, grad)
+        w -= step[:d]
+        b -= float(step[d])
+        if np.abs(step).max() < STEP_TOL:
+            break
     return LinearPixelModel(weights=w, bias=b, mu=mu, sigma=sigma, bands=bands)
 
 

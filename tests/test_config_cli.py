@@ -7,7 +7,9 @@ import pytest
 
 from resflow.cli import main
 from resflow.config import ConfigError, RunConfig, emit_config, load_config, parse_config
-from resflow.raster import read_mask
+from resflow.gallery import ImageGallery
+from resflow.hashing import CentroidTable
+from resflow.raster import Mask, load_scene_header, read_mask, write_mask
 
 from conftest import WS_OVERRIDES, run_cli
 
@@ -361,6 +363,32 @@ class TestInferFailures:
         assert small_cli("infer", small_partitioned) == 4
         err = capsys.readouterr().err
         assert err.startswith("pipeline error:") and "Traceback" not in err
+
+
+class TestOneClassBucket:
+    def test_bucket_without_buildings_gets_a_constant_model(self, small_partitioned, capsys):
+        ws = small_partitioned
+        table = CentroidTable.load(ws / "partition" / "centroids.txt")
+        with ImageGallery(ws / "partition" / "image_gallery.igal", centroids=table) as gallery:
+            extents = [r.extent for r in gallery.query_by_bucket(0)]
+        assert len(extents) == 3
+        truth_path = ws / "scenes" / "scene000.truth.rsr"
+        labels = read_mask(truth_path).labels.copy()
+        for e in extents:
+            assert labels[e.y0 : e.y0 + e.h, e.x0 : e.x0 + e.w].any()
+            labels[e.y0 : e.y0 + e.h, e.x0 : e.x0 + e.w] = 0
+        gsd_m = load_scene_header(truth_path).gsd_m
+        write_mask(truth_path, Mask(w=labels.shape[1], h=labels.shape[0], labels=labels), gsd_m)
+        capsys.readouterr()
+        assert small_cli("train", ws) == 0
+        out, err = capsys.readouterr()
+        assert "bucket 0: version 1, 3 tiles, constant (all background), train-set F1 1.0000" in out
+        assert "skipped" not in err
+        assert small_cli("infer", ws) == 0
+        mask = read_mask(ws / "infer" / "scene000.mask.rsr").labels
+        assert mask.any()
+        for e in extents:
+            assert not mask[e.y0 : e.y0 + e.h, e.x0 : e.x0 + e.w].any()
 
 
 def test_workspace_path_with_space(tmp_path):

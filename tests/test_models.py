@@ -4,12 +4,13 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy.ndimage import uniform_filter
+from scipy.optimize import minimize
 
 from resflow.models import (
     BucketModel,
     LinearPixelModel,
     ModelError,
-    TrainConfig,
+    RIDGE,
     iou_to_f1,
     load_model,
     pixel_features,
@@ -23,7 +24,7 @@ from conftest import make_mask, make_tile
 
 
 def logistic_loss_grad(weights: np.ndarray, bias: float, X: np.ndarray, y: np.ndarray):
-    """Mean logistic loss and its analytic gradient: the oracle train_bucket_model must match."""
+    """Mean logistic loss and its analytic gradient: the oracle for the loss train_bucket_model fits."""
     z = X @ weights + bias
     # log(1 + exp(z)) - y*z, computed stably
     loss = float(np.mean(np.logaddexp(0.0, z) - y * z))
@@ -47,21 +48,73 @@ def separable_samples(n_tiles=6, size=24, seed=0, bands=3):
     return samples
 
 
+def one_pixel_samples():
+    rng = np.random.default_rng(21)
+    samples = []
+    for i in range(12):
+        value = rng.integers(0, 256, size=(1, 1, 3), dtype=np.uint8)
+        samples.append((make_tile(value), make_mask([[i % 2]])))
+    return samples
+
+
+def overlapping_samples(n_tiles=3, size=24, seed=30, bands=3):
+    """Tiles whose building and background intensities overlap, so no weights separate them."""
+    rng = np.random.default_rng(seed)
+    samples = []
+    for _ in range(n_tiles):
+        truth = (rng.random((size, size)) < 0.35).astype(np.uint8)
+        pixels = rng.normal(110.0, 18.0, size=(size, size, bands)) + 25.0 * truth[:, :, None]
+        samples.append((make_tile(np.clip(pixels, 0, 255).astype(np.uint8)), make_mask(truth)))
+    return samples
+
+
+def one_band_samples():
+    rng = np.random.default_rng(22)
+    truth = (rng.random((9, 31)) < 0.4).astype(np.uint8)
+    pixels = np.where(truth == 1, 170, 90) + rng.integers(-20, 21, size=truth.shape)
+    return [(make_tile(pixels.astype(np.uint8)), make_mask(truth))]
+
+
+TRAINING_SETS = {
+    "overlapping": overlapping_samples,
+    "separable": separable_samples,
+    "duplicated": lambda: separable_samples(n_tiles=3, seed=1) * 2,
+    "one_pixel_tiles": one_pixel_samples,
+    "one_pixel_mixed": lambda: separable_samples(n_tiles=2, size=5, seed=23) + one_pixel_samples()[:4],
+    "one_band": one_band_samples,
+}
+
+
+def standardized_training_set(samples, model):
+    X = np.concatenate([pixel_features(tile.pixels) for tile, _ in samples])
+    y = np.concatenate([(truth.labels.ravel() != 0).astype(np.float64) for _, truth in samples])
+    return (X - model.mu) / model.sigma, y
+
+
+def penalised_loss_grad(params, X, y):
+    """The objective train_bucket_model minimises, over (weights..., bias)."""
+    w, b = params[:-1], params[-1]
+    loss, gw, gb = logistic_loss_grad(w, b, X, y)
+    return loss + RIDGE / 2 * float(w @ w), np.append(gw + RIDGE * w, gb)
+
+
 class TestTraining:
     def test_separable_accuracy(self):
         samples = separable_samples()
         model = train_bucket_model(samples)
-        correct = total = 0
         for tile, truth in samples:
-            pred = model.infer(tile)
-            correct += int((pred.labels == truth.labels).sum())
-            total += truth.labels.size
-        assert correct / total >= 0.99
+            assert np.array_equal(model.infer(tile).labels, truth.labels)
 
-    def test_single_class_error(self):
-        tile = make_tile(np.full((8, 8, 3), 50, dtype=np.uint8))
-        with pytest.raises(ModelError, match="degenerate labels"):
-            train_bucket_model([(tile, make_mask(np.zeros((8, 8))))])
+    @pytest.mark.parametrize("label", [0, 1])
+    def test_one_class_labels_give_a_constant_model(self, label):
+        samples = [(tile, make_mask(np.full((24, 24), label))) for tile, _ in separable_samples(n_tiles=2)]
+        model = train_bucket_model(samples)
+        X = np.concatenate([pixel_features(tile.pixels) for tile, _ in samples])
+        assert not model.weights.any()
+        assert (model.bias > 0) == bool(label)
+        assert np.array_equal(model.mu, X.mean(axis=0)) and np.array_equal(model.sigma, X.std(axis=0))
+        for tile, truth in samples:
+            assert np.array_equal(model.infer(tile).labels, truth.labels)
 
     def test_duplicated_set_trains_same_model(self):
         samples = separable_samples(n_tiles=3, seed=1)
@@ -75,6 +128,26 @@ class TestTraining:
         a = train_bucket_model(samples)
         b = train_bucket_model(samples)
         assert np.array_equal(a.weights, b.weights) and a.bias == b.bias
+
+    @pytest.mark.parametrize("name", sorted(TRAINING_SETS))
+    def test_converges_to_a_stationary_point(self, name):
+        samples = TRAINING_SETS[name]()
+        model = train_bucket_model(samples)
+        X, y = standardized_training_set(samples, model)
+        _, grad = penalised_loss_grad(np.append(model.weights, model.bias), X, y)
+        assert np.abs(grad).max() <= 1e-12
+
+    def test_matches_a_general_purpose_minimiser(self):
+        samples = overlapping_samples()
+        model = train_bucket_model(samples)
+        X, y = standardized_training_set(samples, model)
+        ref = minimize(
+            penalised_loss_grad, np.zeros(X.shape[1] + 1), args=(X, y), jac=True,
+            method="BFGS", options={"gtol": 1e-12},
+        )
+        assert np.allclose(model.weights, ref.x[:-1], rtol=0, atol=1e-8)
+        assert abs(model.bias - ref.x[-1]) <= 1e-8
+        assert penalised_loss_grad(np.append(model.weights, model.bias), X, y)[0] <= ref.fun + 1e-12
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(3)
@@ -119,59 +192,7 @@ def reference_decision(model, X):
     return Xs @ model.weights + model.bias
 
 
-def reference_train(samples, hyper=TrainConfig()):
-    """Gradient descent through logistic_loss_grad, the loop train_bucket_model replaces."""
-    X = np.concatenate([reference_pixel_features(tile.pixels) for tile, _ in samples])
-    y = np.concatenate([(truth.labels.ravel() != 0).astype(np.float64) for _, truth in samples])
-    mu = X.mean(axis=0)
-    sigma = X.std(axis=0)
-    sigma[sigma == 0] = 1.0
-    Xs = (X - mu) / sigma
-    w = np.zeros(X.shape[1])
-    b = 0.0
-    for _ in range(hyper.epochs):
-        _, gw, gb = logistic_loss_grad(w, b, Xs, y)
-        w -= hyper.learning_rate * gw
-        b -= hyper.learning_rate * gb
-    return w, b, mu, sigma
-
-
-def one_pixel_samples():
-    rng = np.random.default_rng(21)
-    samples = []
-    for i in range(12):
-        value = rng.integers(0, 256, size=(1, 1, 3), dtype=np.uint8)
-        samples.append((make_tile(value), make_mask([[i % 2]])))
-    return samples
-
-
-def one_band_samples():
-    rng = np.random.default_rng(22)
-    truth = (rng.random((9, 31)) < 0.4).astype(np.uint8)
-    pixels = np.where(truth == 1, 170, 90) + rng.integers(-20, 21, size=truth.shape)
-    return [(make_tile(pixels.astype(np.uint8)), make_mask(truth))]
-
-
-EXACT_SETS = {
-    "separable": lambda: separable_samples(),
-    "duplicated": lambda: separable_samples(n_tiles=3, seed=1) * 2,
-    "one_pixel_tiles": one_pixel_samples,
-    "one_pixel_mixed": lambda: separable_samples(n_tiles=2, size=5, seed=23) + one_pixel_samples()[:4],
-    "one_band": one_band_samples,
-}
-
-
 class TestExactness:
-    @pytest.mark.parametrize("name", sorted(EXACT_SETS))
-    def test_training_matches_reference_loop(self, name):
-        samples = EXACT_SETS[name]()
-        for hyper in (TrainConfig(), TrainConfig(epochs=7, learning_rate=0.5)):
-            model = train_bucket_model(samples, hyper)
-            w, b, mu, sigma = reference_train(samples, hyper)
-            assert np.array_equal(model.weights, w)
-            assert model.bias == b
-            assert np.array_equal(model.mu, mu) and np.array_equal(model.sigma, sigma)
-
     def test_pixel_features_and_scores_match_reference(self):
         rng = np.random.default_rng(24)
         models = {bands: train_bucket_model(separable_samples(seed=25, bands=bands)) for bands in (1, 3, 4)}
