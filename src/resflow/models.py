@@ -6,15 +6,25 @@ pixel classifier over raw band values plus 3x3 local band means. It is
 trained by Newton steps (IRLS) on the ridge-penalised mean logistic loss,
 run to a fixed stop rule from zero weights, so results are deterministic.
 
-Training and inference share one band-major feature kernel. It writes each
-raw band and each band's local mean to its own contiguous ``(h, w)`` float64
-plane, standardizes every plane in place when inference asks for it, and
-copies the planes once, transposed, into the C-ordered ``(h*w, 2*bands)``
-matrix that the gemv reads. Standardizing is elementwise, so the planes hold
-the same values a row-major matrix would, but the gemv must read the
-C-ordered copy: ``weights @ planes`` sums in another order and changes
-scores. The output matrix is allocated before the planes, so the planes are
-the short-lived allocation; the other order raised peak RSS.
+Training and inference share one plane kernel, ``_fill_planes``. It writes
+each raw band and each band's local mean to its own contiguous float64 plane
+of ``h*w`` values.
+
+- Inference writes a tile's planes into a temporary ``(2*bands, h*w)``
+  array, standardizes every plane in place, and copies the planes once,
+  transposed, into the C-ordered ``(h*w, 2*bands)`` matrix that the gemv
+  reads. Standardizing is elementwise, so the planes hold the same values a
+  row-major matrix would, but the gemv must read the C-ordered copy:
+  ``weights @ planes`` sums in another order and changes scores. The output
+  matrix is allocated before the planes, so the planes are the short-lived
+  allocation; the other order raised peak RSS.
+- Training writes every tile's planes straight into the columns of one
+  band-major ``(2*bands + 1, n)`` matrix whose last row holds ones for the
+  bias. ``mu`` and ``sigma`` are reductions along its contiguous rows. Each
+  Newton step is one fused pass over that matrix in column blocks that stay
+  in cache: scores, a sigmoid taken as ``1 / (1 + exp(-z))`` with numpy's
+  ``exp``, the IRLS weights and residuals, and their sums into the gradient
+  and Hessian.
 """
 
 from __future__ import annotations
@@ -26,19 +36,18 @@ from typing import Protocol, runtime_checkable
 
 import numpy as np
 from scipy.ndimage import uniform_filter
-from scipy.special import expit
 
 from .raster import Mask, Tile
 
 MODEL_MAGIC = b"LPM1"
 
 # The Newton solve in train_bucket_model: the L2 penalty on the weights, the
-# largest step component at which it stops, its step cap, and the rows per
-# block of the weighted Gram matrix.
+# largest step component at which it stops, its step cap, and the columns of
+# the training matrix per block of a step.
 RIDGE = 1e-6
 STEP_TOL = 1e-8
 MAX_NEWTON_STEPS = 25
-GRAM_BLOCK_ROWS = 16_384
+NEWTON_BLOCK_COLS = 8_192
 
 
 class ModelError(ValueError):
@@ -61,6 +70,19 @@ class SegMetrics:
     f1: float
 
 
+def _fill_planes(pixels: np.ndarray, planes: np.ndarray) -> None:
+    """Write an ``(h, w, bands)`` tile's raw band planes, then their 3x3 local means.
+
+    ``planes`` is a float64 ``(2*bands, h*w)`` array or view whose rows are
+    contiguous; each plane is written in row-major pixel order.
+    """
+    h, w, bands = pixels.shape
+    grid = np.reshape(planes, (2 * bands, h, w), copy=False)
+    grid[:bands] = pixels.transpose(2, 0, 1)
+    # Size 1 across planes: each band is filtered alone, one call for all of them.
+    uniform_filter(grid[:bands], size=(1, 3, 3), mode="nearest", output=grid[bands:])
+
+
 def pixel_features(pixels: np.ndarray, mu=None, sigma=None) -> np.ndarray:
     """(h*w, 2*bands) matrix: band values then 3x3 local means per band.
 
@@ -72,14 +94,12 @@ def pixel_features(pixels: np.ndarray, mu=None, sigma=None) -> np.ndarray:
     # The long-lived output before the temporary planes: the other order
     # raised the benchmark's peak RSS.
     out = np.empty((h * w, 2 * bands), dtype=np.float64)
-    planes = np.empty((2 * bands, h, w), dtype=np.float64)
-    planes[:bands] = pixels.transpose(2, 0, 1)
-    # Size 1 across planes: each band is filtered alone, one call for all of them.
-    uniform_filter(planes[:bands], size=(1, 3, 3), mode="nearest", output=planes[bands:])
+    planes = np.empty((2 * bands, h * w), dtype=np.float64)
+    _fill_planes(pixels, planes)
     if mu is not None:
-        planes -= mu[:, None, None]
-        planes /= sigma[:, None, None]
-    out[...] = planes.reshape(2 * bands, h * w).T
+        planes -= mu[:, None]
+        planes /= sigma[:, None]
+    out[...] = planes.T
     return out
 
 
@@ -117,23 +137,28 @@ class LinearPixelModel:
 def train_bucket_model(samples: list[tuple[Tile, Mask]]) -> LinearPixelModel:
     """Fit the logistic pixel classifier on (tile, truth mask) pairs.
 
-    Features are standardized in place by the training statistics. The fit
-    minimises the mean logistic loss plus ``RIDGE / 2 * ||weights||**2`` (the
-    bias is not penalised) by undamped Newton steps from zero, that is,
-    iteratively reweighted least squares. It stops once no component of a
-    step reaches ``STEP_TOL``, or after ``MAX_NEWTON_STEPS`` steps. Separable
-    labels have no unpenalised minimum; the ridge gives them one far out
-    along the separating direction, so they take the most steps. Mean-based
-    sums make a duplicated training set fit the same parameters.
+    The fit minimises the mean logistic loss on the standardized features
+    plus ``RIDGE / 2 * ||weights||**2`` (the bias is not penalised) by
+    undamped Newton steps from zero, that is, iteratively reweighted least
+    squares. It stops once no component of a step reaches ``STEP_TOL``, or
+    after ``MAX_NEWTON_STEPS`` steps. Separable labels have no unpenalised
+    minimum; the ridge gives them one far out along the separating direction,
+    so they take the most steps. Mean-based sums make a duplicated training
+    set fit the same parameters.
 
-    Each step scores the pixels and takes their sigmoid in reused n-length
-    buffers, then forms the gradient ``X.T @ r``, the weight-bias column
-    ``X.T @ s`` and the weighted Gram matrix ``X.T @ (X * s)``, where ``r``
-    is the residual and ``s = p * (1 - p)`` the IRLS weight. The Gram matrix
-    is summed over blocks of ``GRAM_BLOCK_ROWS`` rows through one reused
-    ``(d, GRAM_BLOCK_ROWS)`` weighted block, so no weighted copy of the whole
-    matrix is made; the block is transposed because scaling its long rows is
-    faster than scaling ``d``-wide ones. The ``(d + 1) x (d + 1)`` system is then
+    The training matrix is band-major: one ``(d + 1, n)`` float64 array into
+    whose columns ``_fill_planes`` writes each tile's planes, with a last row
+    of ones for the bias. ``mu`` and ``sigma`` are reductions along its
+    contiguous plane rows, and those rows are then standardized in place.
+
+    Each Newton step is one pass over that matrix in blocks of
+    ``NEWTON_BLOCK_COLS`` columns. For a block ``Xb`` it forms the scores
+    ``z = wa @ Xb`` of the weights and bias ``wa``, the sigmoid
+    ``p = 1 / (1 + exp(-z))`` in place (``exp`` overflows to ``inf`` where
+    ``z`` is very negative, which gives the right ``p = 0``), the IRLS weight
+    ``s = p * (1 - p)`` and the residual ``r = p - y``, and adds ``Xb @ r``
+    to the gradient and ``(Xb * s) @ Xb.T`` to the Hessian, through buffers
+    reused across blocks and steps. The ``(d + 1) x (d + 1)`` system is then
     solved directly.
 
     A training set whose labels hold one class gets a constant model: zero
@@ -142,62 +167,61 @@ def train_bucket_model(samples: list[tuple[Tile, Mask]]) -> LinearPixelModel:
     if not samples:
         raise ModelError("no training samples")
     bands = samples[0][0].bands
-    xs, ys = [], []
+    d = 2 * bands
+    n = sum(tile.extent.h * tile.extent.w for tile, _ in samples)
+    XT = np.empty((d + 1, n))
+    y = np.empty(n)
+    lo = 0
     for tile, truth in samples:
         if tile.bands != bands:
             raise ModelError("mixed band counts across training samples")
         if (truth.h, truth.w) != (tile.extent.h, tile.extent.w):
             raise ModelError(f"truth mask {truth.w}x{truth.h} does not match tile {tile.extent}")
-        xs.append(pixel_features(tile.pixels))
-        ys.append((truth.labels.ravel() != 0).astype(np.float64))
-    X = np.concatenate(xs)
-    y = np.concatenate(ys)
-    del xs, ys
-    mu = X.mean(axis=0)
-    sigma = X.std(axis=0)
+        hi = lo + tile.extent.h * tile.extent.w
+        _fill_planes(tile.pixels, XT[:d, lo:hi])
+        y[lo:hi] = truth.labels.ravel() != 0
+        lo = hi
+    mu = XT[:d].mean(axis=1)
+    sigma = XT[:d].std(axis=1)
     sigma[sigma == 0] = 1.0
-    n, d = X.shape
-    w = np.zeros(d)
     if y.min() == y.max():
-        return LinearPixelModel(weights=w, bias=1.0 if y[0] else -1.0, mu=mu, sigma=sigma, bands=bands)
-    X -= mu
-    X /= sigma
-    b = 0.0
-    z = np.empty(n)
-    p = np.empty(n)
-    s = np.empty(n)
-    block = np.empty((d, min(n, GRAM_BLOCK_ROWS)))
-    grad = np.empty(d + 1)
-    hess = np.empty((d + 1, d + 1))
+        return LinearPixelModel(weights=np.zeros(d), bias=1.0 if y[0] else -1.0, mu=mu, sigma=sigma, bands=bands)
+    XT[:d] -= mu[:, None]
+    XT[:d] /= sigma[:, None]
+    XT[d] = 1.0
+    wa = np.zeros(d + 1)  # the weights, then the bias
+    width = min(n, NEWTON_BLOCK_COLS)
+    p_buf = np.empty(width)
+    s_buf = np.empty(width)
+    weighted = np.empty((d + 1, width))
     ridge = RIDGE * np.eye(d)
     for _ in range(MAX_NEWTON_STEPS):
-        np.matmul(X, w, out=z)
-        z += b
-        expit(z, out=p)
-        np.subtract(1.0, p, out=s)
-        s *= p
-        p -= y  # the residual r
-        np.matmul(X.T, p, out=grad[:d])
-        grad[d] = p.sum()
-        hess[:d, :d] = 0.0
-        for lo in range(0, n, GRAM_BLOCK_ROWS):
-            rows = X[lo : lo + GRAM_BLOCK_ROWS]
-            weighted = block[:, : len(rows)]
-            np.multiply(rows.T, s[lo : lo + GRAM_BLOCK_ROWS], out=weighted)
-            hess[:d, :d] += weighted @ rows
-        np.matmul(X.T, s, out=hess[:d, d])
-        hess[d, :d] = hess[:d, d]
-        hess[d, d] = s.sum()
+        grad = np.zeros(d + 1)
+        hess = np.zeros((d + 1, d + 1))
+        for lo in range(0, n, width):
+            Xb = XT[:, lo : lo + width]
+            m = Xb.shape[1]
+            p, s, ws = p_buf[:m], s_buf[:m], weighted[:, :m]
+            np.matmul(-wa, Xb, out=p)  # -z: negating the weights is exact
+            with np.errstate(over="ignore"):
+                np.exp(p, out=p)
+            p += 1.0
+            np.reciprocal(p, out=p)
+            np.subtract(1.0, p, out=s)
+            s *= p
+            p -= y[lo : lo + m]  # the residual r
+            grad += Xb @ p
+            np.multiply(Xb, s, out=ws)
+            hess += ws @ Xb.T
         grad /= n
         hess /= n
-        grad[:d] += RIDGE * w
+        grad[:d] += RIDGE * wa[:d]
         hess[:d, :d] += ridge
         step = np.linalg.solve(hess, grad)
-        w -= step[:d]
-        b -= float(step[d])
+        wa -= step
         if np.abs(step).max() < STEP_TOL:
             break
-    return LinearPixelModel(weights=w, bias=b, mu=mu, sigma=sigma, bands=bands)
+    return LinearPixelModel(weights=wa[:d].copy(), bias=float(wa[d]), mu=mu, sigma=sigma, bands=bands)
 
 
 def seg_metrics(pred: Mask, truth: Mask) -> SegMetrics:
@@ -242,6 +266,8 @@ def load_model(path) -> LinearPixelModel:
     raw = Path(path).read_bytes()
     if raw[:4] != MODEL_MAGIC:
         raise ModelError(f"bad model artifact magic in {path}")
+    if len(raw) < 8:
+        raise ModelError(f"model artifact {path} is {len(raw)} bytes, shorter than its 8-byte header")
     bands = struct.unpack("<I", raw[4:8])[0]
     n = 2 * bands
     need = 8 + 8 * n + 8 + 8 * n + 8 * n

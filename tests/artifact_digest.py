@@ -10,11 +10,17 @@ and ``train`` on the build, copy its ``partition/`` and ``models/`` next to
 the held-out scenes, then ``infer`` there at workers 1 and 2. It prints one
 ``sha256 name`` line per artifact (the build's ``partition/`` files, every
 ``.lpm1``, and every mask and bucket sidecar of both ``infer`` runs) and ends
-with ``digest <hex>`` over all of them. Give ``--src`` the ``src`` directory
-of two checkouts to compare them. Two extra workloads run in a few seconds on
-512-px scenes: ``tiny`` (128-px tiles, ``k`` pinned to the class count) and
-``tiny_knee`` (64-px tiles, the default 2..10 ``k`` range, so the knee
-selection runs).
+with ``digest <hex>`` over all of them. To compare two checkouts, give
+``--against`` the ``src`` directory of the other one:
+
+    python3 tests/artifact_digest.py --src src --against ../parent/src --seed 15
+
+Each tree then runs in its own interpreter, and the output is one
+``same name`` or ``differs name`` line per artifact of either run, then a
+``digest <hex> <src>`` line per tree. Two extra workloads run in a few
+seconds on 512-px scenes: ``tiny`` (128-px tiles, ``k`` pinned to the class
+count) and ``tiny_knee`` (64-px tiles, the default 2..10 ``k`` range, so the
+knee selection runs).
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ import importlib.util
 import io
 import os
 import shutil
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -101,17 +108,42 @@ def combined_digest(entries: list[tuple[str, str]]) -> str:
     return h.hexdigest()
 
 
+def run_tree(src: Path, workload: str, seed: int) -> tuple[dict[str, str], str]:
+    """The artifact digests by name and the overall digest of ``src``, run in a child interpreter."""
+    run = subprocess.run(
+        [sys.executable, __file__, "--src", str(src), "--workload", workload, "--seed", str(seed)],
+        capture_output=True, text=True,
+    )
+    if run.returncode != 0:
+        raise SystemExit(f"{src} exited {run.returncode}:\n{run.stderr}")
+    lines = run.stdout.splitlines()
+    return {name: digest for digest, name in map(str.split, lines[:-1])}, lines[-1].split()[1]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", required=True, help="directory holding the resflow package")
+    parser.add_argument("--against", help="the src directory of a second tree to compare with")
     parser.add_argument("--workload", choices=sorted(WORKLOADS), default="coarse_heldout")
     parser.add_argument("--seed", type=int, required=True)
     args = parser.parse_args(argv)
 
-    src = Path(args.src).resolve()
-    if not (src / "resflow" / "cli.py").is_file():
-        print(f"no resflow package under {src}", file=sys.stderr)
-        return 2
+    trees = [Path(args.src).resolve()]
+    if args.against:
+        trees.append(Path(args.against).resolve())
+    for src in trees:
+        if not (src / "resflow" / "cli.py").is_file():
+            print(f"no resflow package under {src}", file=sys.stderr)
+            return 2
+    if args.against:
+        runs = [run_tree(src, args.workload, args.seed) for src in trees]
+        (ours, _), (theirs, _) = runs
+        for name in sorted(ours.keys() | theirs.keys()):
+            print(f"{'same' if ours.get(name) == theirs.get(name) else 'differs'}  {name}")
+        for src, (_, digest) in zip(trees, runs):
+            print(f"digest {digest}  {src}")
+        return 0
+    src = trees[0]
     sys.path.insert(0, str(src))
     with tempfile.TemporaryDirectory(prefix="resflow-digest-") as tmp:
         entries = artifact_digests(args.workload, args.seed, Path(tmp))

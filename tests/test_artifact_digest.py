@@ -35,3 +35,15 @@ def test_knee_workload_repeats():
     assert "build/partition/bucket_counts.txt" in names
     assert run_digest(5, "tiny_knee") == (files, digest)
     assert digest != run_digest(5)[1]
+
+
+def test_against_compares_two_trees():
+    src = str(HERE.parent / "src")
+    out = subprocess.run(
+        [sys.executable, str(HERE / "artifact_digest.py"), "--src", src, "--against", src, "--seed", "5",
+         "--workload", "tiny"],
+        check=True, capture_output=True, text=True,
+    ).stdout.splitlines()
+    files, digest = run_digest(5)
+    assert out[:-2] == sorted(f"same  {line.split()[1]}" for line in files)
+    assert out[-2:] == [f"{digest}  {Path(src).resolve()}"] * 2

@@ -364,6 +364,17 @@ class TestInferFailures:
         err = capsys.readouterr().err
         assert err.startswith("pipeline error:") and "Traceback" not in err
 
+    def test_truncated_model_artifact_is_4(self, small_partitioned, capsys):
+        ws = small_partitioned
+        assert small_cli("train", ws) == 0
+        artifact = sorted((ws / "models").glob("*.lpm1"))[0]
+        artifact.write_bytes(b"LPM1\x03")  # the magic, then one byte of the band count
+        capsys.readouterr()
+        assert small_cli("infer", ws) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("pipeline error:") and artifact.name in err
+        assert "Traceback" not in err
+
 
 class TestOneClassBucket:
     def test_bucket_without_buildings_gets_a_constant_model(self, small_partitioned, capsys):

@@ -1,12 +1,17 @@
 import itertools
+import struct
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from scipy.ndimage import uniform_filter
 from scipy.optimize import minimize
 
+from resflow import models
 from resflow.models import (
+    MODEL_MAGIC,
     BucketModel,
     LinearPixelModel,
     ModelError,
@@ -48,6 +53,22 @@ def separable_samples(n_tiles=6, size=24, seed=0, bands=3):
     return samples
 
 
+def far_outlier_samples(n_tiles=2, size=24, seed=31):
+    """One-band tiles: buildings at 101, background at 100 with a few pixels at 0.
+
+    The margin is half a level and the dark pixels sit 200 times further out,
+    so the fitted scores there fall far below -709, where exp(-z) overflows.
+    """
+    rng = np.random.default_rng(seed)
+    samples = []
+    for _ in range(n_tiles):
+        truth = (rng.random((size, size)) < 0.3).astype(np.uint8)
+        pixels = np.where(truth == 1, 101, 100).astype(np.uint8)
+        pixels[(truth == 0) & (rng.random((size, size)) < 0.02)] = 0
+        samples.append((make_tile(pixels), make_mask(truth)))
+    return samples
+
+
 def one_pixel_samples():
     rng = np.random.default_rng(21)
     samples = []
@@ -85,6 +106,14 @@ TRAINING_SETS = {
 }
 
 
+@st.composite
+def lpm1_files(draw):
+    """The LPM1 magic and a band count, then a body of the length it implies, give or take a byte."""
+    bands = draw(st.integers(0, 3))
+    size = 8 * (6 * bands + 1) + draw(st.integers(-1, 1))
+    return MODEL_MAGIC + struct.pack("<I", bands) + draw(st.binary(min_size=size, max_size=size))
+
+
 def standardized_training_set(samples, model):
     X = np.concatenate([pixel_features(tile.pixels) for tile, _ in samples])
     y = np.concatenate([(truth.labels.ravel() != 0).astype(np.float64) for _, truth in samples])
@@ -99,20 +128,22 @@ def penalised_loss_grad(params, X, y):
 
 
 class TestTraining:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_separable_accuracy(self):
-        samples = separable_samples()
-        model = train_bucket_model(samples)
-        for tile, truth in samples:
-            assert np.array_equal(model.infer(tile).labels, truth.labels)
+        for samples in (separable_samples(), far_outlier_samples()):
+            model = train_bucket_model(samples)
+            for tile, truth in samples:
+                assert np.array_equal(model.infer(tile).labels, truth.labels)
 
     @pytest.mark.parametrize("label", [0, 1])
     def test_one_class_labels_give_a_constant_model(self, label):
         samples = [(tile, make_mask(np.full((24, 24), label))) for tile, _ in separable_samples(n_tiles=2)]
         model = train_bucket_model(samples)
-        X = np.concatenate([pixel_features(tile.pixels) for tile, _ in samples])
+        planes = np.concatenate([pixel_features(tile.pixels) for tile, _ in samples]).T.copy()
         assert not model.weights.any()
         assert (model.bias > 0) == bool(label)
-        assert np.array_equal(model.mu, X.mean(axis=0)) and np.array_equal(model.sigma, X.std(axis=0))
+        assert np.array_equal(model.mu, planes.mean(axis=1))
+        assert np.array_equal(model.sigma, planes.std(axis=1))
         for tile, truth in samples:
             assert np.array_equal(model.infer(tile).labels, truth.labels)
 
@@ -136,6 +167,20 @@ class TestTraining:
         X, y = standardized_training_set(samples, model)
         _, grad = penalised_loss_grad(np.append(model.weights, model.bias), X, y)
         assert np.abs(grad).max() <= 1e-12
+
+    @pytest.mark.parametrize("name", ["overlapping", "separable"])
+    def test_block_sums_match_one_block(self, name, monkeypatch):
+        # 97 divides neither 1,728 nor 3,456 pixels, so the last block is partial
+        samples = TRAINING_SETS[name]()
+        one = train_bucket_model(samples)
+        monkeypatch.setattr(models, "NEWTON_BLOCK_COLS", 97)
+        many = train_bucket_model(samples)
+        X, y = standardized_training_set(samples, many)
+        assert len(y) % 97 and len(y) > 2 * 97
+        _, grad = penalised_loss_grad(np.append(many.weights, many.bias), X, y)
+        assert np.abs(grad).max() <= 1e-12
+        assert np.allclose(many.weights, one.weights, rtol=0, atol=1e-12)
+        assert abs(many.bias - one.bias) <= 1e-12
 
     def test_matches_a_general_purpose_minimiser(self):
         samples = overlapping_samples()
@@ -358,3 +403,20 @@ class TestArtifacts:
         (tmp_path / "m.lpm1").write_bytes(b"XXXX")
         with pytest.raises(ModelError):
             load_model(tmp_path / "m.lpm1")
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        raw=st.one_of(
+            st.binary(max_size=64),
+            st.binary(max_size=64).map(MODEL_MAGIC.__add__),
+            lpm1_files(),
+        )
+    )
+    def test_any_bytes_load_or_raise_model_error(self, tmp_path, raw):
+        path = tmp_path / "m.lpm1"
+        path.write_bytes(raw)
+        try:
+            model = load_model(path)
+        except ModelError:
+            return
+        assert isinstance(model, LinearPixelModel)
