@@ -25,7 +25,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +39,7 @@ from .embedding import (
     select_bucket_count,
     ward_tree,
 )
-from .executor import PipelineAssets, PipelineError, run_pipeline
+from .executor import PipelineAssets, PipelineError, RunMetrics, run_pipeline
 from .gallery import (
     GalleryError,
     GalleryRecord,
@@ -160,24 +160,17 @@ def cmd_partition(config: RunConfig, workspace, dump_embeddings=None) -> int:
             dim = embeddings.shape[1]
             f.write("scene_id,x0,y0," + ",".join(f"v{i + 1}" for i in range(dim)) + "\n")
             for (scene, ext), row in zip(keys, embeddings):
-                f.write(f"{scene.scene_id},{ext.x0},{ext.y0}," + ",".join(repr(v) for v in row) + "\n")
+                values = ",".join(repr(float(v)) for v in row)
+                f.write(f"{scene.scene_id},{ext.x0},{ext.y0},{values}\n")
 
     # One Ward tree serves both the knee selection and the cut at the chosen k.
-    tree = None
-    if config.cluster_method == "agglomerative" and len(embeddings) > 1:
-        tree = ward_tree(embeddings)
+    tree = ward_tree(embeddings) if len(embeddings) > 1 else None
     if config.k > 0:
         k = config.k
     else:
         k_hi = min(config.k_max, len(embeddings))
-        k = select_bucket_count(
-            embeddings,
-            range(config.k_min, k_hi + 1),
-            method=config.cluster_method,
-            seed=config.seed,
-            tree=tree,
-        )
-    clusters = fit_clusters(embeddings, k, method=config.cluster_method, seed=config.seed, tree=tree)
+        k = select_bucket_count(embeddings, range(config.k_min, k_hi + 1), tree=tree)
+    clusters = fit_clusters(embeddings, k, tree=tree)
     vk = intra_cluster_variance(clusters, embeddings)
     min_d2 = min(
         float(((clusters.centroids[i] - clusters.centroids[j]) ** 2).sum())
@@ -411,6 +404,14 @@ def cmd_report(metrics_path) -> int:
     if not metrics_path.exists():
         raise FileNotFoundError(f"metrics file not found: {metrics_path}")
     data = json.loads(metrics_path.read_text(encoding="ascii"))
+    keys = [f.name for f in fields(RunMetrics)]
+    missing = [k for k in keys if k not in data] if isinstance(data, dict) else keys
+    if missing:
+        print(
+            f"data error: {metrics_path} is not a metrics object; missing keys: {', '.join(missing)}",
+            file=sys.stderr,
+        )
+        return EXIT_DATA
     day = 86_400.0
     print(f"{'':28s}{'per second':>16s}{'per day':>18s}")
     print(f"{'area mapped (sq.km)':28s}{data['sqkm_per_s']:16.4f}{data['sqkm_per_s'] * day:18.1f}")

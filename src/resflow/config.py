@@ -1,18 +1,15 @@
 """Flat key = value run configuration with lossless file round-tripping.
 
-Every knob has an overridable default; ``RESFLOW_SEED`` in the environment
-overrides the seed from any other source.
+Every knob has an overridable default. A config file sets keys first, then
+each ``key=value`` override in order; no environment variable sets a key.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .hashing import MAX_LABELS
-
-SEED_ENV_VAR = "RESFLOW_SEED"
 
 
 class ConfigError(ValueError):
@@ -27,7 +24,6 @@ class RunConfig:
     k_min: int = 2
     k_max: int = 10
     feature_dim: int = 48
-    cluster_method: str = "agglomerative"
     workers: int = 4
     devices: int = 4
     tickets_per_device: int = 2
@@ -45,8 +41,6 @@ class RunConfig:
             raise ConfigError(f"tile_px must be positive, got {self.tile_px}")
         if self.n_bits <= 0:
             raise ConfigError(f"n_bits must be positive, got {self.n_bits}")
-        if self.cluster_method not in ("kmeans", "agglomerative"):
-            raise ConfigError(f"unknown cluster_method {self.cluster_method!r}")
         if self.k < 0 or self.k_min < 1 or self.k_max < self.k_min:
             raise ConfigError("bucket count range is inconsistent")
         if max(self.k, self.k_max) > MAX_LABELS:
@@ -104,9 +98,8 @@ def parse_config(text: str, base: RunConfig | None = None) -> RunConfig:
     return config
 
 
-def load_config(path=None, overrides=None, env=None) -> RunConfig:
-    """Build a config from file, then ``key=value`` overrides, then the env seed."""
-    env = os.environ if env is None else env
+def load_config(path=None, overrides=None) -> RunConfig:
+    """Build a config from file, then ``key=value`` overrides."""
     config = RunConfig()
     if path is not None:
         p = Path(path)
@@ -117,9 +110,4 @@ def load_config(path=None, overrides=None, env=None) -> RunConfig:
         if "=" not in item:
             raise ConfigError(f"override must be key=value, got {item!r}")
         config = parse_config(item, base=config)
-    if SEED_ENV_VAR in env:
-        try:
-            config.seed = int(env[SEED_ENV_VAR])
-        except ValueError as e:
-            raise ConfigError(f"{SEED_ENV_VAR} must be an integer: {e}") from e
     return config.validate()

@@ -2,13 +2,12 @@
 
 The descriptor is a fixed spectral/texture summary (per band: mean, standard
 deviation, an 8-bin intensity histogram, and gradient energy), zero-padded to
-the hash's input width. Clustering offers seeded k-means and Ward-linkage
-agglomerative; both return the same ClusterModel shape.
+the hash's input width. Clustering is a Ward-linkage cut of the descriptors;
+one linkage serves the knee selection of the bucket count and the cut at it.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from itertools import groupby
 
@@ -17,8 +16,6 @@ from scipy.cluster.hierarchy import fcluster, linkage
 
 from .raster import Tile
 
-log = logging.getLogger(__name__)
-
 # Histogram range upper bound per sample dtype; f32 inputs are expected in [0, 1].
 _FULL_SCALE = {"uint8": 256.0, "uint16": 65536.0, "float32": 1.0, "float64": 1.0}
 # Descriptor slots per band: mean, std, HIST_BINS histogram bins, gradient energy.
@@ -26,8 +23,6 @@ HIST_BINS = 8
 PER_BAND = 2 + HIST_BINS + 1
 # Samples per band in one stacked u8 descriptor group: one 256x256 band.
 GROUP_PIXELS = 256 * 256
-# k-means++ starts per k-means fit; the knee scores the same fit that partition writes.
-KMEANS_RESTARTS = 3
 
 
 class ClusterError(ValueError):
@@ -127,83 +122,6 @@ class ClusterModel:
     k: int
     centroids: np.ndarray
     labels: np.ndarray
-    seed: int
-    method: str = "kmeans"
-
-
-def _assign(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    d2 = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-    return d2.argmin(axis=1)
-
-
-def _means(points: np.ndarray, labels: np.ndarray, k: int, prev: np.ndarray) -> np.ndarray:
-    out = prev.copy()
-    d2_own = ((points - prev[labels]) ** 2).sum(axis=1)
-    for c in range(k):
-        members = labels == c
-        if members.any():
-            out[c] = points[members].mean(axis=0)
-        else:
-            # Classic empty-cluster fix: seize the point farthest from its centroid.
-            far = int(np.argmax(d2_own))
-            out[c] = points[far]
-            d2_own[far] = -1.0
-    return out
-
-
-def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    n = len(points)
-    centroids = np.empty((k, points.shape[1]), dtype=np.float64)
-    first = int(rng.integers(n))
-    centroids[0] = points[first]
-    d2 = ((points - centroids[0]) ** 2).sum(axis=1)
-    for j in range(1, k):
-        total = d2.sum()
-        if total > 0:
-            r = rng.random() * total
-            idx = int(np.searchsorted(np.cumsum(d2), r, side="right"))
-            idx = min(idx, n - 1)
-        else:
-            idx = int(np.argmax(d2))
-        centroids[j] = points[idx]
-        d2 = np.minimum(d2, ((points - centroids[j]) ** 2).sum(axis=1))
-    return centroids
-
-
-def lloyd(points: np.ndarray, init_centroids: np.ndarray, max_iter: int = 300, tol: float = 1e-6):
-    """Lloyd iterations from explicit starting centroids.
-
-    Returns (centroids, labels) with centroids equal to the exact means of the
-    final assignment. Exposed so nested runs (k -> k+1 warm starts) can be
-    built on top of a converged solution.
-    """
-    centroids = np.array(init_centroids, dtype=np.float64, copy=True)
-    k = len(centroids)
-    labels = _assign(points, centroids)
-    for _ in range(max_iter):
-        new = _means(points, labels, k, centroids)
-        shift = np.abs(new - centroids).max()
-        centroids = new
-        labels = _assign(points, centroids)
-        if shift < tol:
-            break
-    centroids = _means(points, labels, k, centroids)
-    return centroids, labels
-
-
-def _fit_kmeans(points: np.ndarray, k: int, seed: int) -> ClusterModel:
-    best = None
-    best_sse = np.inf
-    seeds = np.random.SeedSequence(seed).spawn(KMEANS_RESTARTS)
-    for ss in seeds:
-        rng = np.random.default_rng(ss)
-        centroids, labels = lloyd(points, _kmeans_pp_init(points, k, rng))
-        sse = float(((points - centroids[labels]) ** 2).sum())
-        if sse < best_sse - 1e-12:
-            best_sse = sse
-            best = (centroids, labels)
-    centroids, labels = best
-    return ClusterModel(k=k, centroids=centroids, labels=labels, seed=seed, method="kmeans")
 
 
 def ward_tree(embeddings: np.ndarray) -> np.ndarray:
@@ -211,42 +129,31 @@ def ward_tree(embeddings: np.ndarray) -> np.ndarray:
     return linkage(np.asarray(embeddings, dtype=np.float64), method="ward")
 
 
-def _fit_agglomerative(points: np.ndarray, k: int, seed: int, tree: np.ndarray | None) -> ClusterModel:
+def _ward_cut(points: np.ndarray, k: int, tree: np.ndarray | None) -> ClusterModel:
+    """The Ward cut at k clusters, numbered densely in order of first occurrence.
+
+    ``centroids.txt`` bucket ids follow that order. Tied merge heights can make
+    the cut yield fewer than k clusters; the model's ``k`` counts what it yields.
+    """
     if len(points) == k:
-        raw = np.arange(k) + 1
+        labels = np.arange(k)
     else:
-        if tree is None:
-            tree = ward_tree(points)
-        raw = fcluster(tree, t=k, criterion="maxclust")
-    # Relabel by first occurrence so ids are dense and order-stable.
-    remap: dict[int, int] = {}
-    labels = np.empty(len(points), dtype=np.int64)
-    for i, r in enumerate(raw):
-        if r not in remap:
-            remap[r] = len(remap)
-        labels[i] = remap[r]
-    got = len(remap)
-    if got != k:
-        raise ClusterError(f"ward cut produced {got} clusters, wanted {k}")
-    centroids = np.stack([points[labels == c].mean(axis=0) for c in range(k)])
-    return ClusterModel(k=k, centroids=centroids, labels=labels, seed=seed, method="agglomerative")
+        raw = fcluster(ward_tree(points) if tree is None else tree, t=k, criterion="maxclust")
+        _, first, inverse = np.unique(raw, return_index=True, return_inverse=True)
+        rank = np.empty(len(first), dtype=np.int64)
+        rank[np.argsort(first)] = np.arange(len(first))
+        labels = rank[inverse]
+    got = int(labels.max()) + 1
+    centroids = np.stack([points[labels == c].mean(axis=0) for c in range(got)])
+    return ClusterModel(k=got, centroids=centroids, labels=labels)
 
 
-def fit_clusters(
-    embeddings: np.ndarray,
-    k: int,
-    method: str = "kmeans",
-    seed: int = 0,
-    tree: np.ndarray | None = None,
-) -> ClusterModel:
-    """Cluster embedding vectors into k groups.
+def fit_clusters(embeddings: np.ndarray, k: int, tree: np.ndarray | None = None) -> ClusterModel:
+    """Cluster embedding vectors into k groups by a Ward-linkage cut.
 
-    kmeans: ``KMEANS_RESTARTS`` k-means++ seedings drawn from ``seed``, each
-    followed by Lloyd iterations until the max per-coordinate centroid shift
-    drops below 1e-6 or 300 iterations; the lowest-SSE result wins.
-    agglomerative: Ward linkage cut at k clusters (seed is ignored there);
-    ``tree``, when given, is ``ward_tree(embeddings)`` built by the caller,
-    so one linkage can serve the knee selection and the fit.
+    ``tree``, when given, is ``ward_tree(embeddings)`` built by the caller, so
+    one linkage can serve the knee selection and the fit. Labels are dense and
+    numbered in order of first occurrence.
     """
     points = np.asarray(embeddings, dtype=np.float64)
     if points.ndim != 2:
@@ -256,67 +163,38 @@ def fit_clusters(
         raise ClusterError(f"k must be >= 1, got {k}")
     if k > n:
         raise ClusterError(f"k={k} exceeds number of points {n}")
-    if method == "kmeans":
-        return _fit_kmeans(points, k, seed)
-    if method == "agglomerative":
-        return _fit_agglomerative(points, k, seed, tree)
-    raise ClusterError(f"unknown clustering method {method!r}")
+    model = _ward_cut(points, k, tree)
+    if model.k != k:
+        raise ClusterError(f"ward cut produced {model.k} clusters, wanted {k}")
+    return model
 
 
 def intra_cluster_variance(model: ClusterModel, embeddings: np.ndarray) -> float:
-    """Mean over clusters of the mean squared member-to-centroid distance.
-
-    An empty cluster contributes 0 and is logged as a warning.
-    """
+    """Mean over clusters of the mean squared member-to-centroid distance."""
     points = np.asarray(embeddings, dtype=np.float64)
     per_cluster = []
     for c in range(model.k):
-        members = model.labels == c
-        if not members.any():
-            log.warning("cluster %d is empty; contributes 0 to variance", c)
-            per_cluster.append(0.0)
-            continue
-        d2 = ((points[members] - model.centroids[c]) ** 2).sum(axis=1)
+        d2 = ((points[model.labels == c] - model.centroids[c]) ** 2).sum(axis=1)
         per_cluster.append(float(d2.mean()))
     return float(np.mean(per_cluster))
 
 
-def variance_curve(
-    embeddings: np.ndarray,
-    ks,
-    method: str = "kmeans",
-    seed: int = 0,
-    tree: np.ndarray | None = None,
-) -> dict[int, float]:
-    """Intra-cluster variance per candidate k; shares one linkage for ward.
+def variance_curve(embeddings: np.ndarray, ks, tree: np.ndarray | None = None) -> dict[int, float]:
+    """Intra-cluster variance of the Ward cut per candidate k, all from one linkage.
 
-    ``tree`` is ``ward_tree(embeddings)`` when the caller already built it.
+    ``tree`` is ``ward_tree(embeddings)`` when the caller already built it;
+    otherwise one is built here. Each k scores whatever clusters its cut yields.
     """
     points = np.asarray(embeddings, dtype=np.float64)
     ks = sorted(set(int(k) for k in ks))
-    out = {}
-    if method == "agglomerative" and len(points) > max(ks):
-        if tree is None:
-            tree = ward_tree(points)
-        for k in ks:
-            raw = fcluster(tree, t=k, criterion="maxclust")
-            labels = np.unique(raw, return_inverse=True)[1]
-            kk = labels.max() + 1
-            centroids = np.stack([points[labels == c].mean(axis=0) for c in range(kk)])
-            model = ClusterModel(k=kk, centroids=centroids, labels=labels, seed=seed, method=method)
-            out[k] = intra_cluster_variance(model, points)
-        return out
-    for k in ks:
-        model = fit_clusters(points, k, method=method, seed=seed)
-        out[k] = intra_cluster_variance(model, points)
-    return out
+    if tree is None and any(k < len(points) for k in ks):
+        tree = ward_tree(points)
+    return {k: intra_cluster_variance(_ward_cut(points, k, tree), points) for k in ks}
 
 
 def select_bucket_count(
     embeddings: np.ndarray,
     k_range,
-    method: str = "kmeans",
-    seed: int = 0,
     tau: float = 0.1,
     tree: np.ndarray | None = None,
 ) -> int:
@@ -335,7 +213,7 @@ def select_bucket_count(
     probe = list(ks)
     if ks[-1] + 1 <= len(points):
         probe.append(ks[-1] + 1)
-    curve = variance_curve(points, probe, method=method, seed=seed, tree=tree)
+    curve = variance_curve(points, probe, tree=tree)
     for k, k_next in zip(probe[:-1], probe[1:]):
         if k not in ks:
             continue

@@ -55,8 +55,3 @@ def trained_workspace(tmp_path_factory):
     assert run_cli(["partition", "-w", str(ws)]) == 0
     assert run_cli(["train", "-w", str(ws)]) == 0
     return ws
-
-
-@pytest.fixture(autouse=True)
-def _no_env_seed(monkeypatch):
-    monkeypatch.delenv("RESFLOW_SEED", raising=False)

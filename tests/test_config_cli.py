@@ -9,7 +9,17 @@ from resflow.cli import main
 from resflow.config import ConfigError, RunConfig, emit_config, load_config, parse_config
 from resflow.gallery import ImageGallery
 from resflow.hashing import CentroidTable
-from resflow.raster import Mask, load_scene_header, read_mask, write_mask
+from resflow.embedding import extract_features
+from resflow.raster import (
+    Mask,
+    ReadLedger,
+    SceneCatalog,
+    load_scene_header,
+    read_mask,
+    read_window,
+    tile_extents,
+    write_mask,
+)
 
 from conftest import WS_OVERRIDES, run_cli
 
@@ -34,13 +44,6 @@ class TestConfig:
         config = parse_config("# comment\n\ntile_px = 128\n")
         assert config.tile_px == 128
 
-    def test_env_seed_wins(self, tmp_path, monkeypatch):
-        p = tmp_path / "c.cfg"
-        p.write_text("seed = 1\n")
-        monkeypatch.setenv("RESFLOW_SEED", "99")
-        config = load_config(p, overrides=["seed=2"])
-        assert config.seed == 99
-
     def test_override_order(self, tmp_path):
         p = tmp_path / "c.cfg"
         p.write_text("workers = 2\n")
@@ -50,8 +53,9 @@ class TestConfig:
     def test_validation(self):
         with pytest.raises(ConfigError):
             load_config(overrides=["tile_px=0"])
-        with pytest.raises(ConfigError):
-            load_config(overrides=["cluster_method=magic"])
+        # partition has one clustering method; the key that chose between two is gone
+        with pytest.raises(ConfigError, match="unknown config key 'cluster_method'"):
+            load_config(overrides=["cluster_method=agglomerative"])
 
 
 class TestSynthCommand:
@@ -106,17 +110,32 @@ class TestPartitionCommand:
         assert header[:3] == ["scene_id", "x0", "y0"]
         assert len(header) == 3 + 48
         assert len(lines) == 1 + 27  # 3 scenes of 3x3 tiles
+        # every value parses and is the tile's descriptor row, bit for bit
+        catalog = SceneCatalog.from_manifest(trained_workspace / "scenes" / "manifest.txt")
+        for line in lines[1:]:
+            scene_id, x0, y0, *values = line.split(",")
+            scene = catalog.get(scene_id)
+            ext = next(e for e in tile_extents(scene, 256) if (e.x0, e.y0) == (int(x0), int(y0)))
+            row = extract_features(read_window(scene, ext, ReadLedger(), "partition"))
+            assert np.array([float(v) for v in values]).tobytes() == row.tobytes()
 
-    def test_one_ward_tree_per_partition(self, tmp_path, monkeypatch):
-        # the knee selection and the cut at the chosen k share one linkage
+    @pytest.mark.parametrize(
+        "overrides",
+        [[], ["tile_px=256", "k_min=2", "k_max=4"]],
+        ids=["knee", "k_max_is_tile_count"],
+    )
+    def test_one_ward_tree_per_partition(self, tmp_path, monkeypatch, overrides):
+        # the knee selection and the cut at the chosen k share one linkage, also
+        # when the top of the k range is the tile count (4 tiles of 256 px)
         from resflow import embedding
 
         ws = tmp_path / "knee"
-        assert small_cli("synth", ws) == 0
+        sets = [arg for item in ("seed=5", *overrides) for arg in ("--set", item)]
+        assert main(["synth", "-w", str(ws), *SMALL_WS, *sets]) == 0
         built = []
         linkage = embedding.linkage
         monkeypatch.setattr(embedding, "linkage", lambda *a, **kw: built.append(1) or linkage(*a, **kw))
-        assert main(["partition", "-w", str(ws), *SMALL_WS, "--set", "k=0", "--set", "seed=5"]) == 0
+        assert main(["partition", "-w", str(ws), *SMALL_WS, *sets, "--set", "k=0"]) == 0
         assert len(built) == 1
 
     def test_weak_separation_warning(self, tmp_path, capsys):
@@ -454,6 +473,17 @@ class TestReportCommand:
         line = [l for l in capsys.readouterr().out.splitlines() if "area mapped" in l][0]
         per_s, per_day = (float(v) for v in line.split()[-2:])
         assert per_day == pytest.approx(per_s * 86_400.0, rel=1e-3)
+
+    @pytest.mark.parametrize("content", ["[]", '{"sqkm_per_s": 1.0}'], ids=["list", "one_key"])
+    def test_malformed_metrics_is_3(self, tmp_path, capsys, content):
+        path = tmp_path / "metrics.json"
+        path.write_text(content)
+        capsys.readouterr()
+        assert main(["report", "--metrics", str(path)]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("data error:") and str(path) in err
+        assert "images_per_s" in err and "wall_s" in err
 
 
 class TestExitCodes:

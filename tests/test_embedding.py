@@ -3,16 +3,12 @@ import pytest
 
 from resflow.embedding import (
     GROUP_PIXELS,
-    KMEANS_RESTARTS,
     ClusterError,
-    ClusterModel,
     HIST_BINS,
     PER_BAND,
     extract_features,
     fit_clusters,
     intra_cluster_variance,
-    lloyd,
-    _kmeans_pp_init,
     select_bucket_count,
     variance_curve,
     ward_tree,
@@ -169,14 +165,13 @@ class TestFeatureExactness:
 class TestFitClusters:
     def test_k1(self):
         points, _ = make_blobs(3, 20, seed=1)
-        model = fit_clusters(points, 1, seed=0)
+        model = fit_clusters(points, 1)
         assert (model.labels == 0).all()
         assert np.allclose(model.centroids[0], points.mean(axis=0))
 
-    @pytest.mark.parametrize("method", ["kmeans", "agglomerative"])
-    def test_blob_recovery(self, method):
+    def test_blob_recovery(self):
         points, truth = make_blobs(3, 40, seed=2)
-        model = fit_clusters(points, 3, method=method, seed=0)
+        model = fit_clusters(points, 3)
         # same partition up to label permutation
         mapping = {}
         for got, want in zip(model.labels, truth):
@@ -184,9 +179,22 @@ class TestFitClusters:
             assert mapping[got] == want
         assert len(mapping) == 3
 
+    def test_labels_numbered_by_first_occurrence(self):
+        # centroids.txt bucket ids follow this order: label 0 is the first
+        # point's cluster, and each new label is one more than the largest so far
+        tiles, _ = make_texture_tiles(6, 8, tile_px=32, seed=3)
+        points = extract_features(tiles)
+        rng = np.random.default_rng(13)
+        for k in (2, 6, 10, len(points) - 1):
+            for order in (np.arange(len(points)), rng.permutation(len(points))):
+                labels = fit_clusters(points[order], k).labels
+                ids, first = np.unique(labels, return_index=True)
+                assert ids.tolist() == list(range(k))
+                assert (np.diff(first) > 0).all()
+
     def test_k_equals_n(self):
         points, _ = make_blobs(2, 3, seed=3)
-        model = fit_clusters(points, len(points), seed=0)
+        model = fit_clusters(points, len(points))
         assert len(set(model.labels.tolist())) == len(points)
         assert intra_cluster_variance(model, points) == 0.0
 
@@ -196,16 +204,15 @@ class TestFitClusters:
             fit_clusters(points, 0)
         with pytest.raises(ClusterError):
             fit_clusters(points, len(points) + 1)
-        with pytest.raises(ClusterError):
-            fit_clusters(points, 2, method="mystery")
+        with pytest.raises(ClusterError, match="produced 1 clusters, wanted 2"):
+            fit_clusters(np.zeros((4, 3)), 2)
 
-    @pytest.mark.parametrize("method", ["kmeans", "agglomerative"])
-    def test_permutation_invariance(self, method):
+    def test_permutation_invariance(self):
         points, _ = make_blobs(4, 30, seed=5)
-        model_a = fit_clusters(points, 4, method=method, seed=7)
+        model_a = fit_clusters(points, 4)
         rng = np.random.default_rng(11)
         perm = rng.permutation(len(points))
-        model_b = fit_clusters(points[perm], 4, method=method, seed=7)
+        model_b = fit_clusters(points[perm], 4)
         # compare partitions via co-membership of a sample of pairs
         inv = np.empty_like(perm)
         inv[perm] = np.arange(len(perm))
@@ -214,23 +221,9 @@ class TestFitClusters:
         for i, j in pairs:
             assert (la[i] == la[j]) == (lb[i] == lb[j])
 
-    def test_kmeans_keeps_its_best_restart(self):
-        # The knee scores k with KMEANS_RESTARTS starts; the fit partition writes must be
-        # the lowest-SSE one of those. One start gave SSE 12.4 here against 11.2.
-        tiles, _ = make_texture_tiles(6, 8, tile_px=32, seed=3)
-        points = extract_features(tiles)
-        sses = []
-        for ss in np.random.SeedSequence(3).spawn(KMEANS_RESTARTS):
-            init = _kmeans_pp_init(points, 10, np.random.default_rng(ss))
-            centroids, labels = lloyd(points, init)
-            sses.append(float(((points - centroids[labels]) ** 2).sum()))
-        model = fit_clusters(points, 10, method="kmeans", seed=3)
-        sse = float(((points - model.centroids[model.labels]) ** 2).sum())
-        assert sse == min(sses) < sses[0]
-
     def test_centroid_is_member_mean(self):
         points, _ = make_blobs(3, 25, seed=6)
-        model = fit_clusters(points, 3, seed=1)
+        model = fit_clusters(points, 3)
         for c in range(3):
             members = points[model.labels == c]
             assert np.allclose(model.centroids[c], members.mean(axis=0), atol=1e-6)
@@ -239,59 +232,38 @@ class TestFitClusters:
 class TestVariance:
     def test_zero_when_on_centroids(self):
         points = np.array([[0.0], [0.0], [5.0], [5.0]])
-        model = fit_clusters(points, 2, seed=0)
+        model = fit_clusters(points, 2)
         assert intra_cluster_variance(model, points) == 0.0
 
     def test_hand_example(self):
         # {0,2} and {10,12} in 1-d: centroids 1 and 11, every member 1 away
         points = np.array([[0.0], [2.0], [10.0], [12.0]])
-        model = fit_clusters(points, 2, seed=0)
+        model = fit_clusters(points, 2)
         assert intra_cluster_variance(model, points) == pytest.approx(1.0)
 
     def test_k1_equals_sample_variance(self):
         rng = np.random.default_rng(12)
         points = rng.normal(size=(500, 1))
-        model = fit_clusters(points, 1, seed=0)
+        model = fit_clusters(points, 1)
         assert intra_cluster_variance(model, points) == pytest.approx(float(np.var(points)))
-
-    def test_monotone_under_nested_runs(self):
-        # Warm-starting k+1 from the converged k solution cannot increase the
-        # within-cluster variance; checked across several synthetic datasets.
-        for seed in range(5):
-            rng = np.random.default_rng(seed)
-            points = rng.normal(size=(120, 3)) + rng.integers(0, 4, size=(120, 1)) * 3.0
-            model = fit_clusters(points, 2, seed=seed)
-            prev = intra_cluster_variance(model, points)
-            centroids = model.centroids
-            for k in range(3, 8):
-                d2 = ((points - centroids[model.labels]) ** 2).sum(axis=1)
-                extra = points[int(np.argmax(d2))]
-                centroids, labels = lloyd(points, np.vstack([centroids, extra]))
-                model = ClusterModel(k=k, centroids=centroids, labels=labels, seed=seed)
-                cur = intra_cluster_variance(model, points)
-                assert cur <= prev + 1e-9
-                prev = cur
 
 
 class TestSelectBucketCount:
     def test_three_blobs(self):
         points, _ = make_blobs(3, 50, seed=21)
-        assert select_bucket_count(points, range(2, 9), seed=0) == 3
+        assert select_bucket_count(points, range(2, 9)) == 3
 
     def test_single_blob(self):
         # one isotropic cloud at descriptor-like dimensionality: the very
         # first variance reduction is already below the knee threshold
         rng = np.random.default_rng(22)
         points = rng.normal(size=(150, 16))
-        assert select_bucket_count(points, range(2, 9), seed=0) == 2
+        assert select_bucket_count(points, range(2, 9)) == 2
 
-    def test_six_blobs(self):
-        points, _ = make_blobs(6, 60, seed=23)
-        assert select_bucket_count(points, range(2, 11), seed=0) == 6
-
-    def test_agglomerative_path(self):
-        points, _ = make_blobs(6, 40, seed=24)
-        assert select_bucket_count(points, range(2, 11), method="agglomerative", seed=0) == 6
+    @pytest.mark.parametrize("per_blob, seed", [(60, 23), (40, 24)], ids=["60_per_blob", "40_per_blob"])
+    def test_six_blobs(self, per_blob, seed):
+        points, _ = make_blobs(6, per_blob, seed=seed)
+        assert select_bucket_count(points, range(2, 11)) == 6
 
     def test_errors(self):
         points, _ = make_blobs(2, 3, seed=25)
@@ -308,13 +280,13 @@ class TestSelectBucketCount:
         linkage = embedding.linkage
         monkeypatch.setattr(embedding, "linkage", lambda *a, **kw: built.append(1) or linkage(*a, **kw))
         ks = range(2, 11)
-        curve = variance_curve(points, ks, method="agglomerative")
-        assert variance_curve(points, ks, method="agglomerative", tree=tree) == curve
-        k = select_bucket_count(points, ks, method="agglomerative")
-        assert select_bucket_count(points, ks, method="agglomerative", tree=tree) == k
+        curve = variance_curve(points, ks)
+        assert variance_curve(points, ks, tree=tree) == curve
+        k = select_bucket_count(points, ks)
+        assert select_bucket_count(points, ks, tree=tree) == k
         for kk in (k, 2, len(points)):
-            alone = fit_clusters(points, kk, method="agglomerative")
-            shared = fit_clusters(points, kk, method="agglomerative", tree=tree)
+            alone = fit_clusters(points, kk)
+            shared = fit_clusters(points, kk, tree=tree)
             assert shared.labels.tobytes() == alone.labels.tobytes()
             assert shared.centroids.tobytes() == alone.centroids.tobytes()
         # only the calls without a tree built one; k = n needs no tree

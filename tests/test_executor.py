@@ -115,7 +115,7 @@ class TestGroupByScene:
 def build_assets(tmp_path, tiles, labels, task="building", skip_bucket=None):
     """Fit hash + centroids + per-bucket models from labeled tiles."""
     embeddings = extract_features(tiles)
-    clusters = fit_clusters(embeddings, len(set(labels)), method="agglomerative", seed=0)
+    clusters = fit_clusters(embeddings, len(set(labels)))
     hash_fn = fit_hash(embeddings, clusters.labels, 32, seed=0)
     codes = encode_many(hash_fn, embeddings)
     table = bucket_centroids(codes, clusters.labels)
