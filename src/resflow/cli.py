@@ -399,18 +399,34 @@ def cmd_bench(config: RunConfig, workspace, workers_list, scene_counts, out_path
     return EXIT_OK
 
 
+def _metrics_problem(data) -> str | None:
+    """Why a loaded ``metrics.json`` cannot be reported, or None.
+
+    Every ``RunMetrics`` key must be present; ``reads_per_scene`` must hold an
+    object and every other key a number (a JSON bool is not one).
+    """
+    keys = [f.name for f in fields(RunMetrics)]
+    missing = [k for k in keys if k not in data] if isinstance(data, dict) else keys
+    if missing:
+        return f"is not a metrics object; missing keys: {', '.join(missing)}"
+    for key in keys:
+        wanted = dict if key == "reads_per_scene" else (int, float)
+        if isinstance(data[key], bool) or not isinstance(data[key], wanted):
+            return f"has a value of the wrong type for key {key}: {data[key]!r}"
+    return None
+
+
 def cmd_report(metrics_path) -> int:
     metrics_path = Path(metrics_path)
     if not metrics_path.exists():
         raise FileNotFoundError(f"metrics file not found: {metrics_path}")
-    data = json.loads(metrics_path.read_text(encoding="ascii"))
-    keys = [f.name for f in fields(RunMetrics)]
-    missing = [k for k in keys if k not in data] if isinstance(data, dict) else keys
-    if missing:
-        print(
-            f"data error: {metrics_path} is not a metrics object; missing keys: {', '.join(missing)}",
-            file=sys.stderr,
-        )
+    try:
+        data = json.loads(metrics_path.read_text(encoding="ascii"))
+        problem = _metrics_problem(data)
+    except UnicodeDecodeError as e:
+        problem = f"is not ASCII: {e}"
+    if problem:
+        print(f"data error: {metrics_path} {problem}", file=sys.stderr)
         return EXIT_DATA
     day = 86_400.0
     print(f"{'':28s}{'per second':>16s}{'per day':>18s}")

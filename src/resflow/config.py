@@ -105,7 +105,11 @@ def load_config(path=None, overrides=None) -> RunConfig:
         p = Path(path)
         if not p.exists():
             raise ConfigError(f"config file not found: {p}")
-        config = parse_config(p.read_text(encoding="utf-8"), base=config)
+        try:
+            text = p.read_text(encoding="utf-8")
+        except UnicodeDecodeError as e:
+            raise ConfigError(f"config file {p} is not UTF-8: {e}") from e
+        config = parse_config(text, base=config)
     for item in overrides or []:
         if "=" not in item:
             raise ConfigError(f"override must be key=value, got {item!r}")

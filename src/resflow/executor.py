@@ -43,7 +43,7 @@ from .config import RunConfig
 from .embedding import extract_features
 from .gallery import GalleryRecord, ImageGallery, ModelGallery, ModelGapError
 from .hashing import BinaryCode, CentroidTable, HashFunction, assign_bucket, encode
-from .models import BucketModel, load_model
+from .models import LinearPixelModel, load_model
 from .pool import DevicePool
 from .raster import (
     Mask,
@@ -85,7 +85,12 @@ class RunMetrics:
     images_per_s: float = 0.0
 
     def finalize(self) -> "RunMetrics":
-        self.speedup = compute_speedup(self, BASELINE_S_PER_SCENE)
+        """Fill in the rates; the speedup is the baseline time of ``scenes`` over ``wall_s``."""
+        if self.scenes < 1:
+            raise PipelineError("speedup needs at least one scene")
+        if self.wall_s <= 0:
+            raise PipelineError("speedup undefined for zero wall time")
+        self.speedup = BASELINE_S_PER_SCENE * self.scenes / self.wall_s
         self.sqkm_per_s = self.area_sqkm / self.wall_s
         self.gb_per_s = self.bytes_read / 1e9 / self.wall_s
         self.images_per_s = self.tiles / self.wall_s
@@ -93,23 +98,6 @@ class RunMetrics:
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"
-
-
-def compute_speedup(metrics: RunMetrics, baseline: float) -> float:
-    """Baseline per-scene time times scene count over measured wall seconds."""
-    if metrics.scenes < 1:
-        raise PipelineError("speedup needs at least one scene")
-    if metrics.wall_s <= 0:
-        raise PipelineError("speedup undefined for zero wall time")
-    return baseline * metrics.scenes / metrics.wall_s
-
-
-def area_rate(metrics: RunMetrics) -> tuple[float, float]:
-    """(sq.km per second, sq.km per day)."""
-    if metrics.wall_s <= 0 or metrics.area_sqkm <= 0:
-        raise PipelineError("area rate needs positive area and wall time")
-    rate = metrics.area_sqkm / metrics.wall_s
-    return rate, rate * 86_400.0
 
 
 def group_by_scene(results) -> dict[str, list[tuple[TileExtent, Mask]]]:
@@ -151,11 +139,11 @@ class PipelineAssets:
         codes = [encode(self.hash_fn, row) for row in extract_features(tiles, self.hash_fn.dim)]
         return [(code, assign_bucket(code, self.centroids)) for code in codes]
 
-    def model(self, bucket: int, task: str) -> BucketModel:
+    def model(self, bucket: int, task: str) -> LinearPixelModel:
         record = self.model_gallery.lookup(self.centroids.codes[bucket], task)
         return load_model(record.artifact_path)
 
-    def label(self, model: BucketModel, scene: SceneRef, ext: TileExtent, ledger: ReadLedger) -> Mask:
+    def label(self, model: LinearPixelModel, scene: SceneRef, ext: TileExtent, ledger: ReadLedger) -> Mask:
         return model.infer(read_window(scene, ext, ledger, STAGE_INFER))
 
 
@@ -266,7 +254,7 @@ def run_pipeline(
         by_scene_bucket.setdefault((si, bucket), []).append(ext)
 
     failures: dict[str, list[str]] = {}
-    models: dict[int, BucketModel] = {}
+    models: dict[int, LinearPixelModel] = {}
     failed_scenes: set[int] = set()
     for bucket in dict.fromkeys(b for _si, b in sorted(by_scene_bucket)):
         try:

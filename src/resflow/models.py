@@ -1,9 +1,8 @@
 """Per-bucket inference models and segmentation quality metrics.
 
-The engine treats models as pluggable: anything with ``infer(tile) -> Mask``
-can sit in the model gallery. The default LinearPixelModel is a logistic
-pixel classifier over raw band values plus 3x3 local band means. It is
-trained by Newton steps (IRLS) on the ridge-penalised mean logistic loss,
+Every bucket's model is a LinearPixelModel, stored as one LPM1 file: a
+logistic pixel classifier over raw band values plus 3x3 local band means. It
+is trained by Newton steps (IRLS) on the ridge-penalised mean logistic loss,
 run to a fixed stop rule from zero weights, so results are deterministic.
 
 Training and inference share one plane kernel, ``_fill_planes``. It writes
@@ -32,7 +31,6 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Protocol, runtime_checkable
 
 import numpy as np
 from scipy.ndimage import uniform_filter
@@ -52,13 +50,6 @@ NEWTON_BLOCK_COLS = 8_192
 
 class ModelError(ValueError):
     """Bad training set, tile shape, or artifact file."""
-
-
-@runtime_checkable
-class BucketModel(Protocol):
-    """Behavior contract for gallery models."""
-
-    def infer(self, tile: Tile) -> Mask: ...
 
 
 @dataclass(frozen=True)

@@ -73,10 +73,6 @@ class DevicePool:
         self._cond = threading.Condition()
         self.events: list[PoolEvent] = []
 
-    @property
-    def tickets_total(self) -> int:
-        return len(self.devices) * self.tickets_per_device
-
     def snapshot(self) -> dict[int, int]:
         with self._cond:
             return {d: len(s) for d, s in self._outstanding.items()}

@@ -430,17 +430,20 @@ class SceneCatalog:
         manifest_path = Path(manifest_path)
         cat = cls()
         base = manifest_path.parent
-        with open(manifest_path, "r", encoding="utf-8") as f:
-            for line in f:
-                line = line.strip()
-                if not line or line.startswith("#") or "=" in line:
-                    continue
-                parts = line.split()
-                if len(parts) != 2:
-                    raise RasterError(f"malformed manifest line: {line!r}")
-                scene_id, raw = parts
-                p = Path(raw)
-                if not p.is_absolute():
-                    p = base / p
-                cat.add(replace(load_scene_header(p), scene_id=scene_id))
+        try:
+            text = manifest_path.read_text(encoding="utf-8")
+        except UnicodeDecodeError as e:
+            raise RasterError(f"manifest {manifest_path} is not UTF-8: {e}") from e
+        for line in text.split("\n"):
+            line = line.strip()
+            if not line or line.startswith("#") or "=" in line:
+                continue
+            parts = line.split()
+            if len(parts) != 2:
+                raise RasterError(f"malformed manifest line: {line!r}")
+            scene_id, raw = parts
+            p = Path(raw)
+            if not p.is_absolute():
+                p = base / p
+            cat.add(replace(load_scene_header(p), scene_id=scene_id))
         return cat

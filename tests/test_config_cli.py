@@ -7,6 +7,7 @@ import pytest
 
 from resflow.cli import main
 from resflow.config import ConfigError, RunConfig, emit_config, load_config, parse_config
+from resflow.executor import RunMetrics
 from resflow.gallery import ImageGallery
 from resflow.hashing import CentroidTable
 from resflow.embedding import extract_features
@@ -299,6 +300,18 @@ class TestInferFailures:
         assert err.startswith("data error:") and "lists no scene" in err and str(manifest) in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["partition", "train", "infer", "bench"])
+    def test_manifest_not_utf8_is_3(self, small_partitioned, capsys, command):
+        ws = small_partitioned
+        assert small_cli("train", ws) == 0
+        manifest = ws / "scenes" / "manifest.txt"
+        manifest.write_bytes(manifest.read_bytes() + b"scene\xff scene000.rsr\n")
+        capsys.readouterr()
+        assert (small_bench(ws) if command == "bench" else small_cli(command, ws)) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "not UTF-8" in err and str(manifest) in err
+        assert "Traceback" not in err
+
     def test_bench_sweep_beyond_the_manifest_is_2(self, small_partitioned, capsys):
         ws = small_partitioned
         assert small_cli("train", ws) == 0
@@ -457,6 +470,12 @@ class TestBenchCommand:
         assert code == 2
 
 
+def complete_metrics(**changes) -> bytes:
+    """A finalized metrics.json with ``changes`` applied to its values."""
+    data = json.loads(RunMetrics(wall_s=1.0, scenes=1, tiles=4, area_sqkm=1.0).finalize().to_json())
+    return json.dumps({**data, **changes}).encode("ascii")
+
+
 class TestReportCommand:
     def test_report_output(self, trained_workspace, capsys):
         assert run_cli(["infer", "-w", str(trained_workspace), "--out", "infer"]) == 0
@@ -474,16 +493,36 @@ class TestReportCommand:
         per_s, per_day = (float(v) for v in line.split()[-2:])
         assert per_day == pytest.approx(per_s * 86_400.0, rel=1e-3)
 
-    @pytest.mark.parametrize("content", ["[]", '{"sqkm_per_s": 1.0}'], ids=["list", "one_key"])
-    def test_malformed_metrics_is_3(self, tmp_path, capsys, content):
+    def test_published_area_per_day(self, tmp_path, capsys):
         path = tmp_path / "metrics.json"
-        path.write_text(content)
+        path.write_bytes(complete_metrics(sqkm_per_s=5.245))
+        capsys.readouterr()
+        assert main(["report", "--metrics", str(path)]) == 0
+        line = [l for l in capsys.readouterr().out.splitlines() if "area mapped" in l][0]
+        assert line.split()[-1] == "453168.0"
+
+    @pytest.mark.parametrize(
+        "content, named",
+        [
+            (b"[]", ["images_per_s", "wall_s"]),
+            (b'{"sqkm_per_s": 1.0}', ["images_per_s", "wall_s"]),
+            (complete_metrics(sqkm_per_s="x"), ["sqkm_per_s"]),
+            (complete_metrics(speedup=None), ["speedup"]),
+            (complete_metrics(scenes=True), ["scenes"]),
+            (complete_metrics(reads_per_scene=[]), ["reads_per_scene"]),
+            (b'{"wall_s": "\xff"}', ["ASCII"]),
+        ],
+        ids=["list", "one_key", "str_rate", "null_speedup", "bool_scenes", "list_reads", "not_ascii"],
+    )
+    def test_malformed_metrics_is_3(self, tmp_path, capsys, content, named):
+        path = tmp_path / "metrics.json"
+        path.write_bytes(content)
         capsys.readouterr()
         assert main(["report", "--metrics", str(path)]) == 3
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("data error:") and str(path) in err
-        assert "images_per_s" in err and "wall_s" in err
+        assert all(key in err for key in named)
 
 
 class TestExitCodes:
@@ -517,3 +556,11 @@ class TestExitCodes:
 
     def test_missing_config_file_is_2(self, tmp_path):
         assert main(["synth", "-w", str(tmp_path), "-c", str(tmp_path / "none.cfg")]) == 2
+
+    def test_config_file_not_utf8_is_2(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"# caf\xe9\n")
+        capsys.readouterr()
+        assert main(["config", "-c", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "not UTF-8" in err and str(cfg) in err

@@ -12,8 +12,6 @@ from resflow.executor import (
     PipelineAssets,
     PipelineError,
     RunMetrics,
-    area_rate,
-    compute_speedup,
     group_by_scene,
     run_pipeline,
 )
@@ -43,39 +41,30 @@ from simulated import (
 
 class TestSpeedupArithmetic:
     def test_table_cell_nine_x(self):
-        m = RunMetrics(wall_s=3.81 * 60, scenes=1)
-        assert compute_speedup(m, 35 * 60) == pytest.approx(9.19, abs=0.01)
+        m = RunMetrics(wall_s=3.81 * 60, scenes=1).finalize()
+        assert m.speedup == pytest.approx(9.19, abs=0.01)
 
     def test_unit_speedup(self):
-        m = RunMetrics(wall_s=4200.0, scenes=2)
-        assert compute_speedup(m, 2100.0) == 1.0
+        assert RunMetrics(wall_s=4200.0, scenes=2).finalize().speedup == 1.0
 
     def test_twelve_scene_cell(self):
-        m = RunMetrics(wall_s=7.73 * 60, scenes=12)
-        assert compute_speedup(m, 35 * 60) == pytest.approx(54.3, abs=0.05)
+        m = RunMetrics(wall_s=7.73 * 60, scenes=12).finalize()
+        assert m.speedup == pytest.approx(54.3, abs=0.05)
 
     def test_zero_wall_time(self):
         with pytest.raises(PipelineError):
-            compute_speedup(RunMetrics(wall_s=0.0, scenes=1), 2100.0)
+            RunMetrics(wall_s=0.0, scenes=1).finalize()
+
+    def test_no_scene(self):
+        with pytest.raises(PipelineError, match="at least one scene"):
+            RunMetrics(wall_s=1.0, scenes=0).finalize()
 
 
 class TestAreaRate:
     def test_published_relation(self):
-        m = RunMetrics(wall_s=1.0, area_sqkm=5.245)
-        rate, per_day = area_rate(m)
-        assert rate == pytest.approx(5.245)
-        assert per_day == pytest.approx(453_168.0, abs=1.0)
-
-    def test_small_example(self):
-        m = RunMetrics(wall_s=1.0, area_sqkm=0.25)
-        assert area_rate(m)[1] == pytest.approx(21_600.0)
-
-    def test_inverse_identity(self):
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            m = RunMetrics(wall_s=float(rng.uniform(0.1, 50)), area_sqkm=float(rng.uniform(0.1, 500)))
-            rate, per_day = area_rate(m)
-            assert per_day / 86_400.0 == pytest.approx(rate)
+        m = RunMetrics(wall_s=1.0, scenes=1, area_sqkm=5.245).finalize()
+        assert m.sqkm_per_s == pytest.approx(5.245)
+        assert m.sqkm_per_s * 86_400.0 == pytest.approx(453_168.0, abs=1.0)
 
 
 class TestGroupByScene:

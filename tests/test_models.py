@@ -12,7 +12,6 @@ from scipy.optimize import minimize
 from resflow import models
 from resflow.models import (
     MODEL_MAGIC,
-    BucketModel,
     LinearPixelModel,
     ModelError,
     RIDGE,
@@ -23,7 +22,6 @@ from resflow.models import (
     seg_metrics,
     train_bucket_model,
 )
-from resflow.raster import Mask
 
 from conftest import make_mask, make_tile
 
@@ -300,16 +298,6 @@ class TestInference:
         model = train_bucket_model(separable_samples(seed=8))
         with pytest.raises(ModelError):
             model.infer(make_tile(np.zeros((4, 4), dtype=np.uint8)))
-
-    def test_custom_model_satisfies_interface(self):
-        class Zeros:
-            def infer(self, tile):
-                return Mask(w=tile.extent.w, h=tile.extent.h,
-                            labels=np.zeros((tile.extent.h, tile.extent.w), dtype=np.uint8))
-
-        assert isinstance(Zeros(), BucketModel)
-        out = Zeros().infer(make_tile(np.zeros((5, 7, 3), dtype=np.uint8)))
-        assert (out.w, out.h) == (7, 5)
 
     def test_pixel_features_shape(self):
         feats = pixel_features(np.zeros((4, 6, 3)))
