@@ -425,6 +425,8 @@ def cmd_report(metrics_path) -> int:
         problem = _metrics_problem(data)
     except UnicodeDecodeError as e:
         problem = f"is not ASCII: {e}"
+    except RecursionError:
+        problem = "nests JSON values too deeply to parse"
     if problem:
         print(f"data error: {metrics_path} {problem}", file=sys.stderr)
         return EXIT_DATA

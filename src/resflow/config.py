@@ -105,6 +105,8 @@ def load_config(path=None, overrides=None) -> RunConfig:
         p = Path(path)
         if not p.exists():
             raise ConfigError(f"config file not found: {p}")
+        if not p.is_file():
+            raise ConfigError(f"config path is not a file: {p}")
         try:
             text = p.read_text(encoding="utf-8")
         except UnicodeDecodeError as e:

@@ -53,7 +53,8 @@ class BinaryCode:
     def __post_init__(self):
         if self.width <= 0:
             raise HashError(f"code width must be positive, got {self.width}")
-        if not 0 <= self.bits < (1 << self.width):
+        # bit_length, not 1 << width: a width read from a file may be huge.
+        if self.bits < 0 or self.bits.bit_length() > self.width:
             raise HashError(f"bits {self.bits:#x} out of range for width {self.width}")
 
     def to_hex(self) -> str:
@@ -343,4 +344,6 @@ def load_hash(path) -> HashFunction:
         raise HashError(f"hash file {path} is {len(raw)} bytes, expected {need}")
     proj = np.frombuffer(raw, dtype="<f8", count=n_bits * dim, offset=12).reshape(n_bits, dim)
     thr = np.frombuffer(raw, dtype="<f8", count=n_bits, offset=12 + 8 * n_bits * dim)
+    if not (np.isfinite(proj).all() and np.isfinite(thr).all()):
+        raise HashError(f"hash file {path} holds a non-finite projection or threshold")
     return HashFunction(projections=proj.copy(), thresholds=thr.copy())

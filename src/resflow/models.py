@@ -5,25 +5,20 @@ logistic pixel classifier over raw band values plus 3x3 local band means. It
 is trained by Newton steps (IRLS) on the ridge-penalised mean logistic loss,
 run to a fixed stop rule from zero weights, so results are deterministic.
 
-Training and inference share one plane kernel, ``_fill_planes``. It writes
-each raw band and each band's local mean to its own contiguous float64 plane
-of ``h*w`` values.
+Scoring folds the standardization into the weights once, when a model is
+built or loaded: ``w = weights / sigma`` and ``bias' = bias - w @ mu``. The 3x3
+mean is linear, so the local-mean half of ``w`` moves outside the filter: with
+``P`` the ``(h*w, bands)`` pixels, a tile's scores are
+``P @ w_raw + box3(P @ w_mean) + bias'``, two band sums and one box filter of
+one plane.
 
-- Inference writes a tile's planes into a temporary ``(2*bands, h*w)``
-  array, standardizes every plane in place, and copies the planes once,
-  transposed, into the C-ordered ``(h*w, 2*bands)`` matrix that the gemv
-  reads. Standardizing is elementwise, so the planes hold the same values a
-  row-major matrix would, but the gemv must read the C-ordered copy:
-  ``weights @ planes`` sums in another order and changes scores. The output
-  matrix is allocated before the planes, so the planes are the short-lived
-  allocation; the other order raised peak RSS.
-- Training writes every tile's planes straight into the columns of one
-  band-major ``(2*bands + 1, n)`` matrix whose last row holds ones for the
-  bias. ``mu`` and ``sigma`` are reductions along its contiguous rows. Each
-  Newton step is one fused pass over that matrix in column blocks that stay
-  in cache: scores, a sigmoid taken as ``1 / (1 + exp(-z))`` with numpy's
-  ``exp``, the IRLS weights and residuals, and their sums into the gradient
-  and Hessian.
+Training writes every tile's raw band planes and their 3x3 local means with
+``_fill_planes``, which serves training only, straight into the columns of one
+band-major ``(2*bands + 1, n)`` matrix whose last row holds ones for the
+bias. ``mu`` and ``sigma`` are reductions along its contiguous rows. Each
+Newton step is one fused pass over that matrix in column blocks that stay in
+cache: scores, a sigmoid taken as ``1 / (1 + exp(-z))`` with numpy's ``exp``,
+the IRLS weights and residuals, and their sums into the gradient and Hessian.
 """
 
 from __future__ import annotations
@@ -74,35 +69,14 @@ def _fill_planes(pixels: np.ndarray, planes: np.ndarray) -> None:
     uniform_filter(grid[:bands], size=(1, 3, 3), mode="nearest", output=grid[bands:])
 
 
-def pixel_features(pixels: np.ndarray, mu=None, sigma=None) -> np.ndarray:
-    """(h*w, 2*bands) matrix: band values then 3x3 local means per band.
-
-    Each column is standardized by ``mu`` and ``sigma`` when they are given.
-    """
-    if pixels.ndim == 2:
-        pixels = pixels[:, :, None]
-    h, w, bands = pixels.shape
-    # The long-lived output before the temporary planes: the other order
-    # raised the benchmark's peak RSS.
-    out = np.empty((h * w, 2 * bands), dtype=np.float64)
-    planes = np.empty((2 * bands, h * w), dtype=np.float64)
-    _fill_planes(pixels, planes)
-    if mu is not None:
-        planes -= mu[:, None]
-        planes /= sigma[:, None]
-    out[...] = planes.T
-    return out
-
-
 @dataclass(eq=False)
 class LinearPixelModel:
     """Thresholded linear pixel classifier with stored standardization.
 
-    Scoring runs the band-major ``pixel_features`` kernel: the raw and 3x3-mean
-    planes are standardized per plane by ``mu`` and ``sigma``, copied once,
-    transposed, into a C-ordered matrix, and multiplied by ``weights``. That
-    matrix is allocated before the planes, so the planes are the short-lived
-    allocation, and at most two feature matrices are live at once.
+    ``weights`` apply to the standardized raw band values, then the
+    standardized 3x3 local band means. Building a model checks that every
+    parameter is finite, that every ``sigma`` is above 0, and that the folded
+    weights and bias stay finite; otherwise it raises ``ModelError``.
     """
 
     weights: np.ndarray
@@ -111,10 +85,29 @@ class LinearPixelModel:
     sigma: np.ndarray
     bands: int
 
+    def __post_init__(self):
+        stored = np.concatenate([self.weights, [self.bias], self.mu, self.sigma])
+        if not np.isfinite(stored).all() or not (self.sigma > 0).all():
+            raise ModelError("model parameters must be finite, with every sigma above 0")
+        with np.errstate(over="ignore", invalid="ignore"):
+            folded = self.weights / self.sigma
+            bias = self.bias - folded @ self.mu
+        if not (np.isfinite(folded).all() and np.isfinite(bias)):
+            raise ModelError("model weights overflow once divided by sigma")
+        self._w_raw = folded[: self.bands]
+        self._w_mean = folded[self.bands :]
+        self._bias = float(bias)
+
     def scores(self, pixels: np.ndarray) -> np.ndarray:
         """Linear score per pixel in row-major order; ``pixels`` is left unchanged."""
-        scores = pixel_features(pixels, self.mu, self.sigma) @ self.weights
-        scores += self.bias
+        if pixels.ndim == 2:
+            pixels = pixels[:, :, None]
+        h, w, bands = pixels.shape
+        flat = pixels.reshape(h * w, bands)
+        scores = flat @ self._w_raw
+        local = (flat @ self._w_mean).reshape(h, w)
+        scores += uniform_filter(local, size=3, mode="nearest").ravel()
+        scores += self._bias
         return scores
 
     def infer(self, tile: Tile) -> Mask:
@@ -272,4 +265,7 @@ def load_model(path) -> LinearPixelModel:
     mu = np.frombuffer(raw, dtype="<f8", count=n, offset=at).copy()
     at += 8 * n
     sigma = np.frombuffer(raw, dtype="<f8", count=n, offset=at).copy()
-    return LinearPixelModel(weights=weights, bias=bias, mu=mu, sigma=sigma, bands=bands)
+    try:
+        return LinearPixelModel(weights=weights, bias=bias, mu=mu, sigma=sigma, bands=bands)
+    except ModelError as e:
+        raise ModelError(f"model artifact {path}: {e}") from None

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from resflow.cli import main
 from resflow.raster import Mask, Tile, TileExtent
@@ -14,6 +15,24 @@ def make_blobs(k, per_cluster, dim=8, spacing=10.0, sigma=0.1, seed=0):
         points.append(centers[c] + rng.normal(0, sigma, size=(per_cluster, dim)))
         labels.extend([c] * per_cluster)
     return np.concatenate(points), np.array(labels)
+
+
+# Tokens of the kinds the text artifacts hold (integers, hex codes, dashes,
+# float lists), plus short text that is none of them.
+TOKENS = st.one_of(
+    st.integers().map(str),
+    st.integers(min_value=0).map("{:x}".format),
+    st.just("-"),
+    st.lists(st.floats(), max_size=5).map(lambda values: ",".join(map(repr, values))),
+    st.text(max_size=6),
+)
+
+
+def text_artifacts(header):
+    """Arbitrary bytes, or a ``header`` line and up to 4 lines of up to 12 tokens, as UTF-8."""
+    lines = st.lists(st.lists(TOKENS, max_size=12).map(" ".join), max_size=4)
+    text = st.builds(lambda h, body, end: "\n".join([h, *body]) + end, header, lines, st.sampled_from(["\n", ""]))
+    return st.one_of(st.binary(max_size=64), text.map(lambda t: t.encode("utf-8")))
 
 
 def make_tile(pixels, scene_id="t", x0=0, y0=0):

@@ -511,8 +511,9 @@ class TestReportCommand:
             (complete_metrics(scenes=True), ["scenes"]),
             (complete_metrics(reads_per_scene=[]), ["reads_per_scene"]),
             (b'{"wall_s": "\xff"}', ["ASCII"]),
+            (b'{"wall_s": ' + b"[" * 100_000 + b"]" * 100_000 + b"}", ["too deeply"]),
         ],
-        ids=["list", "one_key", "str_rate", "null_speedup", "bool_scenes", "list_reads", "not_ascii"],
+        ids=["list", "one_key", "str_rate", "null_speedup", "bool_scenes", "list_reads", "not_ascii", "deep"],
     )
     def test_malformed_metrics_is_3(self, tmp_path, capsys, content, named):
         path = tmp_path / "metrics.json"
@@ -564,3 +565,9 @@ class TestExitCodes:
         assert main(["config", "-c", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "not UTF-8" in err and str(cfg) in err
+
+    def test_config_path_is_a_directory_is_2(self, tmp_path, capsys):
+        capsys.readouterr()
+        assert main(["config", "-c", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "not a file" in err and str(tmp_path) in err

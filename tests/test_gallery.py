@@ -2,6 +2,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from resflow.gallery import (
     GalleryError,
@@ -17,6 +19,8 @@ from resflow.gallery import (
 )
 from resflow.hashing import BinaryCode, CentroidTable, assign_bucket
 from resflow.raster import TileExtent
+
+from conftest import text_artifacts
 
 
 @pytest.fixture
@@ -179,6 +183,17 @@ class TestImageGallery:
         with pytest.raises(GalleryError, match="malformed gallery header"):
             ImageGallery(path)
 
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(raw=text_artifacts(st.one_of(st.integers(min_value=0).map("IGAL1 n_bits={}".format), st.text(max_size=16))))
+    @example(raw=b"IGAL1 n_bits=%d\n0 1 0 s 0 0 1 1 /d/s.rsr - -\n" % 2**70)
+    def test_any_bytes_open_or_raise_gallery_error(self, tmp_path, raw):
+        path = tmp_path / "g.igal"
+        path.write_bytes(raw)
+        try:
+            ImageGallery(path).close()
+        except GalleryError:
+            pass
+
 
 class TestModelGallery:
     def test_path_with_space_and_percent_round_trips(self, tmp_path, table):
@@ -265,3 +280,13 @@ class TestModelGallery:
         path.write_bytes(b"MGAL1\n" + line + b"\n")
         with pytest.raises(GalleryError, match=match):
             ModelGallery(path, table)
+
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(raw=text_artifacts(st.one_of(st.just("MGAL1"), st.text(max_size=8))))
+    def test_any_bytes_open_or_raise_gallery_error(self, tmp_path, table, raw):
+        path = tmp_path / "m.mgal"
+        path.write_bytes(raw)
+        try:
+            ModelGallery(path, table).close()
+        except GalleryError:
+            pass

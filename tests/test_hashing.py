@@ -1,9 +1,12 @@
+import struct
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from resflow.hashing import (
+    HASH_MAGIC,
     BinaryCode,
     BucketCollisionError,
     CentroidTable,
@@ -22,7 +25,15 @@ from resflow.hashing import (
 from resflow.hashing import MAX_LABELS, _subset_matrix
 
 
-from conftest import make_blobs
+from conftest import make_blobs, text_artifacts
+
+
+@st.composite
+def hsh1_files(draw):
+    """The HSH1 magic, a bit count and a width, then a body of the length they imply, give or take a byte."""
+    n_bits, dim = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    size = max(0, 8 * n_bits * (dim + 1) + draw(st.integers(-1, 1)))
+    return HASH_MAGIC + struct.pack("<II", n_bits, dim) + draw(st.binary(min_size=size, max_size=size))
 
 
 def brute_force_nearest(code, table):
@@ -323,6 +334,18 @@ class TestCentroids:
         with pytest.raises(HashError, match="malformed centroid table"):
             CentroidTable.load(tmp_path / "c.txt")
 
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(raw=text_artifacts(st.one_of(st.integers().map("CTAB1 n_bits={}".format), st.text(max_size=16))))
+    @example(raw=b"CTAB1 n_bits=%d\n0 1\n" % 2**70)
+    def test_any_bytes_load_or_raise_hash_error(self, tmp_path, raw):
+        path = tmp_path / "c.txt"
+        path.write_bytes(raw)
+        try:
+            table = CentroidTable.load(path)
+        except HashError:
+            return
+        assert isinstance(table, CentroidTable)
+
 
 class TestAssign:
     def test_exact_match(self):
@@ -379,3 +402,22 @@ class TestHashIO:
         (tmp_path / "h.hsh1").write_bytes(b"HSH1\0\0")
         with pytest.raises(HashError, match="12-byte header"):
             load_hash(tmp_path / "h.hsh1")
+
+    @pytest.mark.parametrize("field, value", [("projections", np.nan), ("thresholds", np.inf)])
+    def test_non_finite_values_are_hash_errors(self, tmp_path, field, value):
+        h = HashFunction(projections=np.eye(3), thresholds=np.zeros(3))
+        getattr(h, field).flat[1] = value
+        save_hash(tmp_path / "h.hsh1", h)
+        with pytest.raises(HashError, match="non-finite"):
+            load_hash(tmp_path / "h.hsh1")
+
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(raw=st.one_of(st.binary(max_size=64), st.binary(max_size=64).map(HASH_MAGIC.__add__), hsh1_files()))
+    def test_any_bytes_load_or_raise_hash_error(self, tmp_path, raw):
+        path = tmp_path / "h.hsh1"
+        path.write_bytes(raw)
+        try:
+            h = load_hash(path)
+        except HashError:
+            return
+        assert np.isfinite(h.projections).all() and np.isfinite(h.thresholds).all()

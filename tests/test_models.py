@@ -17,11 +17,11 @@ from resflow.models import (
     RIDGE,
     iou_to_f1,
     load_model,
-    pixel_features,
     save_model,
     seg_metrics,
     train_bucket_model,
 )
+from resflow.synth import SIGNATURES, _paint_region, _place_buildings
 
 from conftest import make_mask, make_tile
 
@@ -113,7 +113,7 @@ def lpm1_files(draw):
 
 
 def standardized_training_set(samples, model):
-    X = np.concatenate([pixel_features(tile.pixels) for tile, _ in samples])
+    X = np.concatenate([reference_pixel_features(tile.pixels) for tile, _ in samples])
     y = np.concatenate([(truth.labels.ravel() != 0).astype(np.float64) for _, truth in samples])
     return (X - model.mu) / model.sigma, y
 
@@ -137,12 +137,13 @@ class TestTraining:
     def test_one_class_labels_give_a_constant_model(self, label):
         samples = [(tile, make_mask(np.full((24, 24), label))) for tile, _ in separable_samples(n_tiles=2)]
         model = train_bucket_model(samples)
-        planes = np.concatenate([pixel_features(tile.pixels) for tile, _ in samples]).T.copy()
+        planes = np.concatenate([reference_pixel_features(tile.pixels) for tile, _ in samples]).T.copy()
         assert not model.weights.any()
         assert (model.bias > 0) == bool(label)
         assert np.array_equal(model.mu, planes.mean(axis=1))
         assert np.array_equal(model.sigma, planes.std(axis=1))
         for tile, truth in samples:
+            assert np.array_equal(model.scores(tile.pixels), np.full(24 * 24, model.bias))
             assert np.array_equal(model.infer(tile).labels, truth.labels)
 
     def test_duplicated_set_trains_same_model(self):
@@ -213,7 +214,7 @@ class TestTraining:
 
 
 def reference_pixel_features(pixels):
-    """The list-and-stack feature matrix that pixel_features must reproduce."""
+    """(h*w, 2*bands) list-and-stack feature matrix: band values, then 3x3 local means per band."""
     if pixels.ndim == 2:
         pixels = pixels[:, :, None]
     h, w, bands = pixels.shape
@@ -235,40 +236,61 @@ def reference_decision(model, X):
     return Xs @ model.weights + model.bias
 
 
+def texture_tile(rng, sig, px):
+    """One synth texture cell of ``px`` pixels a side with its buildings, and its truth."""
+    block = _paint_region(rng, sig, px, px)
+    block, truth, _ = _place_buildings(rng, sig, block, np.zeros((px, px), dtype=np.uint8), px, px)
+    return make_tile(np.clip(block, 0, 255).astype(np.uint8)), make_mask(truth)
+
+
 class TestExactness:
-    def test_pixel_features_and_scores_match_reference(self):
+    def test_scores_match_reference(self):
+        # The folded kernel sums in another order than the reference, so scores
+        # agree to a few ulps of the tile's largest score, and labels agree
+        # wherever the reference score is farther than that from 0.
         rng = np.random.default_rng(24)
         models = {bands: train_bucket_model(separable_samples(seed=25, bands=bands)) for bands in (1, 3, 4)}
         shapes = [(1, 1), (1, 9), (9, 1), (2, 2), (17, 23), (256, 256)]
         for (h, w), bands, dtype in itertools.product(shapes, (1, 3, 4), (np.uint8, np.uint16, np.float32)):
             pixels = random_pixels(rng, (h, w, bands), dtype)
             model = models[bands]
-            X = pixel_features(pixels)
-            assert X.flags.c_contiguous
-            assert X.tobytes() == reference_pixel_features(pixels).tobytes()
             expected = reference_decision(model, reference_pixel_features(pixels))
+            tol = 1e-12 * np.abs(expected).max()
+            clear = np.abs(expected) > tol
             before = pixels.copy()
-            assert model.scores(pixels).tobytes() == expected.tobytes()
+            scores = model.scores(pixels)
+            assert scores.shape == (h * w,)
+            assert np.abs(scores - expected).max() <= tol
             tile = make_tile(pixels)
             labels = model.infer(tile).labels
             assert labels.dtype == np.uint8
-            assert np.array_equal(labels, (expected > 0).astype(np.uint8).reshape(h, w))
+            assert np.array_equal(labels.ravel()[clear], (expected > 0)[clear])
             assert tile.pixels.tobytes() == before.tobytes(), "infer changed the tile's pixels"
             if bands == 1:
-                flat = pixels[:, :, 0]
-                assert pixel_features(flat).tobytes() == reference_pixel_features(flat).tobytes()
-                assert model.scores(flat).tobytes() == expected.tobytes()
+                assert np.abs(model.scores(pixels[:, :, 0]) - expected).max() <= tol
+
+    @pytest.mark.parametrize("px", [32, 256])
+    def test_texture_masks_match_reference(self, px):
+        rng = np.random.default_rng(28)
+        differ = 0
+        for sig in SIGNATURES[:6]:
+            model = train_bucket_model([texture_tile(rng, sig, px) for _ in range(3)])
+            for _ in range(8 if px == 32 else 2):
+                tile, _ = texture_tile(rng, sig, px)
+                expected = reference_decision(model, reference_pixel_features(tile.pixels)) > 0
+                differ += int(np.count_nonzero(model.infer(tile).labels.ravel() != expected))
+        assert differ == 0
 
 
 class TestMemory:
-    def test_infer_peak_stays_within_two_feature_matrices(self):
+    def test_infer_peak_stays_within_six_values_per_pixel(self):
         # numpy reports its data buffers to tracemalloc, so any new
         # temporary in the scoring kernel shows up in the traced peak.
         model = train_bucket_model(separable_samples(seed=26))
         tile = make_tile(np.random.default_rng(27).integers(0, 256, size=(256, 256, 3), dtype=np.uint8))
         model.infer(tile)
         n = 256 * 256
-        budget = 2 * n * 6 * 8 + n * 8 + n  # two feature matrices, f64 scores, u8 labels
+        budget = 6 * n * 8 + n  # six f64 values per pixel, u8 labels
         tracemalloc.start()
         try:
             model.infer(tile)
@@ -298,10 +320,6 @@ class TestInference:
         model = train_bucket_model(separable_samples(seed=8))
         with pytest.raises(ModelError):
             model.infer(make_tile(np.zeros((4, 4), dtype=np.uint8)))
-
-    def test_pixel_features_shape(self):
-        feats = pixel_features(np.zeros((4, 6, 3)))
-        assert feats.shape == (24, 6)
 
 
 class TestSegMetrics:
@@ -400,6 +418,7 @@ class TestArtifacts:
             lpm1_files(),
         )
     )
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_any_bytes_load_or_raise_model_error(self, tmp_path, raw):
         path = tmp_path / "m.lpm1"
         path.write_bytes(raw)
@@ -408,3 +427,19 @@ class TestArtifacts:
         except ModelError:
             return
         assert isinstance(model, LinearPixelModel)
+        # Zero pixels score the folded bias and turn a non-finite folded weight into NaN.
+        assert np.isfinite(model.scores(np.zeros((4, 4, model.bands), dtype=np.uint8))).all()
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("weights", np.nan), ("bias", np.inf), ("mu", -np.inf), ("sigma", 0.0), ("sigma", -1.0), ("sigma", 1e-310)],
+    )
+    def test_parameters_that_cannot_score_raise_model_error(self, tmp_path, field, value):
+        model = train_bucket_model(separable_samples(n_tiles=2, seed=14))
+        if field == "bias":
+            model.bias = value
+        else:
+            getattr(model, field)[1] = value
+        save_model(tmp_path / "m.lpm1", model)
+        with pytest.raises(ModelError, match="m.lpm1"):
+            load_model(tmp_path / "m.lpm1")
