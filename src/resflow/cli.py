@@ -261,7 +261,7 @@ def cmd_train(config: RunConfig, workspace) -> int:
                 continue
             tp = fp = fn = 0
             for tile, truth_mask in val:
-                m = seg_metrics(model.infer(tile), truth_mask)
+                m = seg_metrics(model.infer([tile])[0], truth_mask)
                 tp, fp, fn = tp + m.tp, fp + m.fp, fn + m.fn
             f1 = 1.0 if (2 * tp + fp + fn) == 0 else 2 * tp / (2 * tp + fp + fn)
             version = registry.next_version(centroid, config.task)

@@ -12,9 +12,11 @@ The device offers three calls, which the stages make without branching:
 
     embed(scene, exts, ledger) -> [(code, bucket)], one per extent
     model(bucket, task) -> model, or ModelGapError
-    label(model, scene, ext, ledger) -> Mask
+    label(model, scene, exts, ledger) -> [Mask], one per extent
 
-plus an ``image_gallery`` that stage A indexes its tiles into, or None.
+plus an ``image_gallery`` that stage A indexes its tiles into, or None. Stage
+A makes one ``embed`` call per chunk and stage B one ``label`` call per chunk
+of one scene and bucket.
 ``PipelineAssets`` is the device: it reads windows, describes, hashes and
 labels them with the fitted artifacts. Stage C merges on the host and makes
 no device call.
@@ -40,7 +42,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 from .config import RunConfig
-from .embedding import extract_features
+from .embedding import GROUP_PIXELS, extract_features
 from .gallery import GalleryRecord, ImageGallery, ModelGallery, ModelGapError
 from .hashing import BinaryCode, CentroidTable, HashFunction, assign_bucket, encode
 from .models import LinearPixelModel, load_model
@@ -121,10 +123,21 @@ class PipelineAssets:
     chunk in one ``extract_features`` call at the hash's input width; its
     rows equal the per-tile descriptors byte for byte, and its float64
     temporaries stay within one 256x256 band (see ``extract_features``).
-    Each row is then encoded and assigned on its own. The calls resolve
-    ``read_window``, ``extract_features``, ``encode``, ``assign_bucket`` and
-    ``load_model`` through this module's globals, so a tracer that replaces
-    those names here sees every call.
+    Each row is then encoded and assigned on its own.
+
+    ``label`` splits a stage-B chunk into the groups ``extract_features``
+    stacks: consecutive extents of one shape, at most ``GROUP_PIXELS``
+    pixels per band. It reads a group's windows one by one, scores the
+    group in one ``LinearPixelModel.infer`` call and lets it go before it
+    reads the next, so a 256-px tile is read and scored alone. Each mask
+    equals the tile's own ``infer([tile])`` mask.
+
+    The calls resolve ``read_window``, ``extract_features``, ``encode``,
+    ``assign_bucket`` and ``load_model`` through this module's globals, so a
+    tracer that replaces those names here sees every call: ``read_window``
+    once per window in both stages, ``encode`` and ``assign_bucket`` once
+    per row, ``extract_features`` once per stage-A chunk and
+    ``LinearPixelModel.infer`` once per stage-B group.
     """
 
     hash_fn: HashFunction
@@ -143,8 +156,17 @@ class PipelineAssets:
         record = self.model_gallery.lookup(self.centroids.codes[bucket], task)
         return load_model(record.artifact_path)
 
-    def label(self, model: LinearPixelModel, scene: SceneRef, ext: TileExtent, ledger: ReadLedger) -> Mask:
-        return model.infer(read_window(scene, ext, ledger, STAGE_INFER))
+    def label(
+        self, model: LinearPixelModel, scene: SceneRef, exts: list[TileExtent], ledger: ReadLedger
+    ) -> list[Mask]:
+        masks = []
+        for (h, w), run in itertools.groupby(exts, key=lambda ext: (ext.h, ext.w)):
+            run = list(run)
+            step = max(1, GROUP_PIXELS // (h * w))
+            for k in range(0, len(run), step):
+                group = run[k : k + step]
+                masks += model.infer([read_window(scene, ext, ledger, STAGE_INFER) for ext in group])
+        return masks
 
 
 @dataclass
@@ -282,8 +304,7 @@ def run_pipeline(
         ticket = pool.checkout(worker_id, timeout=config.ticket_timeout_s)
         try:
             out = []
-            for ext in chunk:
-                mask = device.label(models[bucket], scene, ext, ledger)
+            for ext, mask in zip(chunk, device.label(models[bucket], scene, chunk, ledger)):
                 mask.provenance[ext] = bucket
                 out.append((scene.scene_id, ext, mask))
             return out

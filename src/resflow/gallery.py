@@ -80,7 +80,7 @@ class GalleryRecord:
 
 
 def _check_token(value: str, what: str) -> str:
-    if not value or any(ch.isspace() for ch in value):
+    if value.split() != [value]:
         raise GalleryError(f"{what} must be a non-empty token without whitespace: {value!r}")
     return value
 
@@ -230,7 +230,9 @@ class ImageGallery(_AppendLog):
                     f"for code {record.code.to_hex()}"
                 )
         _check_token(record.scene_id, "scene_id")
-        _check_token(_escape_path(record.storage_path), "storage_path")
+        # Escaping leaves no whitespace, so only an empty path is not a token.
+        if not record.storage_path:
+            raise GalleryError("storage_path must be a non-empty path")
         if record.acquired_at is not None:
             _check_token(record.acquired_at, "acquired_at")
         with self._lock:

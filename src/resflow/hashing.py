@@ -227,7 +227,11 @@ def fit_hash(
 
 @dataclass(eq=False)
 class CentroidTable:
-    """bucket_id -> centroid code; ids dense from 0, codes pairwise distinct."""
+    """bucket_id -> centroid code; ids dense from 0, codes pairwise distinct.
+
+    The ``(id, bits)`` pairs that ``assign_bucket`` scans are built once, in
+    id order, so the table must not change after it is built.
+    """
 
     codes: dict[int, BinaryCode]
 
@@ -240,6 +244,8 @@ class CentroidTable:
         widths = {c.width for c in self.codes.values()}
         if len(widths) != 1:
             raise HashError("mixed centroid widths")
+        (self.width,) = widths
+        self.bits_by_id = tuple((bid, self.codes[bid].bits) for bid in ids)
         seen = {}
         for bid, code in self.codes.items():
             if code.bits in seen:
@@ -248,10 +254,6 @@ class CentroidTable:
                     f"(buckets {seen[code.bits]} and {bid} share {code.to_hex()})"
                 )
             seen[code.bits] = bid
-
-    @property
-    def width(self) -> int:
-        return next(iter(self.codes.values())).width
 
     def __len__(self):
         return len(self.codes)
@@ -313,10 +315,13 @@ def bucket_centroids(codes, labels) -> CentroidTable:
 
 def assign_bucket(code: BinaryCode, table: CentroidTable) -> int:
     """Nearest centroid in hamming distance; ties go to the smallest id."""
+    if code.width != table.width:
+        raise HashError(f"width mismatch: {code.width} vs {table.width}")
+    bits = code.bits
     best_id = -1
-    best_d = table.width + 1
-    for bid, centroid in table.items():
-        d = hamming(code, centroid)
+    best_d = code.width + 1
+    for bid, centroid_bits in table.bits_by_id:
+        d = (bits ^ centroid_bits).bit_count()
         if d < best_d:
             best_d = d
             best_id = bid

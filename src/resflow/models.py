@@ -99,23 +99,44 @@ class LinearPixelModel:
         self._bias = float(bias)
 
     def scores(self, pixels: np.ndarray) -> np.ndarray:
-        """Linear score per pixel in row-major order; ``pixels`` is left unchanged."""
+        """Linear score per pixel in row-major order; ``pixels`` is left unchanged.
+
+        ``pixels`` is one ``(h, w, bands)`` or ``(h, w)`` tile, or a stack of
+        same-shape tiles ``(n, h, w, bands)``; the scores of a stack are its
+        tiles' scores one after another. The 3x3 mean filters the stack with
+        ``size=(1, 3, 3)``, which leaves the size-1 axis out, so every tile is
+        filtered on its own, and a tile of two or more pixels scores bit for
+        bit as it would alone. A one-pixel array alone takes numpy's vector
+        dot product instead of its matrix-vector product, which can round the
+        last bit of the band sums differently.
+        """
         if pixels.ndim == 2:
             pixels = pixels[:, :, None]
-        h, w, bands = pixels.shape
-        flat = pixels.reshape(h * w, bands)
+        if pixels.ndim == 3:
+            pixels = pixels[None]
+        n, h, w, bands = pixels.shape
+        flat = pixels.reshape(n * h * w, bands)
         scores = flat @ self._w_raw
-        local = (flat @ self._w_mean).reshape(h, w)
-        scores += uniform_filter(local, size=3, mode="nearest").ravel()
+        local = (flat @ self._w_mean).reshape(n, h, w)
+        scores += uniform_filter(local, size=(1, 3, 3), mode="nearest").ravel()
         scores += self._bias
         return scores
 
-    def infer(self, tile: Tile) -> Mask:
-        if tile.bands != self.bands:
-            raise ModelError(f"tile has {tile.bands} bands, model expects {self.bands}")
-        scores = self.scores(tile.pixels)
-        labels = (scores > 0).astype(np.uint8).reshape(tile.extent.h, tile.extent.w)
-        return Mask(w=tile.extent.w, h=tile.extent.h, labels=labels)
+    def infer(self, tiles: list[Tile]) -> list[Mask]:
+        """One mask per tile, from one ``scores`` call over the tiles stacked.
+
+        The tiles must share one ``(h, w, bands)`` shape with the model's band
+        count; otherwise, or for no tiles, this raises ``ModelError``.
+        """
+        shapes = {tile.pixels.shape for tile in tiles}
+        if len(shapes) != 1:
+            raise ModelError(f"infer needs tiles of one shape, got {sorted(shapes)}")
+        ((h, w, bands),) = shapes
+        if bands != self.bands:
+            raise ModelError(f"tile has {bands} bands, model expects {self.bands}")
+        scores = self.scores(np.stack([tile.pixels for tile in tiles]))
+        labels = (scores > 0).astype(np.uint8).reshape(len(tiles), h, w)
+        return [Mask(w=w, h=h, labels=plane) for plane in labels]
 
 
 def train_bucket_model(samples: list[tuple[Tile, Mask]]) -> LinearPixelModel:

@@ -62,7 +62,8 @@ class SceneRef:
 
     The pixel payload is never attached to the reference. ``gsd_m`` is the
     ground-sampling distance in meters per pixel side and is stored per
-    scene, not globally.
+    scene, not globally. ``data_offset`` is the byte of the file at which
+    the pixel samples start, just past the header.
     """
 
     scene_id: str
@@ -72,6 +73,7 @@ class SceneRef:
     bands: int
     dtype: str
     gsd_m: float
+    data_offset: int
 
     def __post_init__(self):
         if self.width_px <= 0 or self.height_px <= 0:
@@ -201,6 +203,7 @@ def write_scene(path, pixels: np.ndarray, gsd_m: float, scene_id: str | None = N
         bands=bands,
         dtype=tag,
         gsd_m=float(gsd_m),
+        data_offset=len(MAGIC) + len(header),
     )
 
 
@@ -234,6 +237,7 @@ def load_scene_header(path, scene_id: str | None = None) -> SceneRef:
         bands=bands,
         dtype=tag,
         gsd_m=gsd,
+        data_offset=data_start,
     )
     expected = data_start + ref.nbytes
     actual = os.stat(path).st_size
@@ -245,11 +249,12 @@ def load_scene_header(path, scene_id: str | None = None) -> SceneRef:
 
 
 def read_window(scene: SceneRef, extent: TileExtent, ledger: ReadLedger, stage: str) -> Tile:
-    """Materialize one window with one ``open`` and one ``os.pread``.
+    """Materialize one window with one ``os.open``, one ``os.pread`` and one ``os.close``.
 
-    The handle skips the two header lines; one positional read then fetches
-    the window's byte span, its first sample through its last, and the rows
-    are copied out of it through a strided view. A file cut short after
+    The positional read starts at the scene's ``data_offset`` plus the
+    window's offset, so the header is not read again, and fetches the
+    window's byte span, its first sample through its last; the rows are
+    copied out of it through a strided view. A file cut short after
     ``load_scene_header`` raises ``RasterFormatError`` exactly when the span
     reaches a missing byte; a window wholly before the cut still reads.
     Every call records the window's own bytes for (scene_id, stage).
@@ -265,11 +270,11 @@ def read_window(scene: SceneRef, extent: TileExtent, ledger: ReadLedger, stage: 
     shape = (extent.h, extent.w, scene.bands)
     # Allocated before the span, so freeing the span leaves no heap hole under a live array.
     pixels = np.empty(shape, dt)
-    with open(scene.path, "rb") as f:
-        f.read(len(MAGIC))
-        f.readline()
-        offset = f.tell() + extent.y0 * stride + extent.x0 * pixel
-        buf = os.pread(f.fileno(), span, offset)
+    fd = os.open(scene.path, os.O_RDONLY)
+    try:
+        buf = os.pread(fd, span, scene.data_offset + extent.y0 * stride + extent.x0 * pixel)
+    finally:
+        os.close(fd)
     if len(buf) != span:
         raise RasterFormatError(f"truncated pixel data in {scene.path} in window {extent}")
     pixels[...] = np.ndarray(shape, dt, buf, strides=(stride, pixel, dt.itemsize))
@@ -425,7 +430,8 @@ class SceneCatalog:
     def from_manifest(cls, manifest_path) -> "SceneCatalog":
         """Load "scene_id path" lines; relative paths resolve next to the manifest.
 
-        Lines containing "=" are config entries and are skipped here.
+        Each line splits once after the scene id, so the path may contain
+        spaces. Lines containing "=" are config entries and are skipped here.
         """
         manifest_path = Path(manifest_path)
         cat = cls()
@@ -438,7 +444,7 @@ class SceneCatalog:
             line = line.strip()
             if not line or line.startswith("#") or "=" in line:
                 continue
-            parts = line.split()
+            parts = line.split(maxsplit=1)
             if len(parts) != 2:
                 raise RasterError(f"malformed manifest line: {line!r}")
             scene_id, raw = parts

@@ -84,9 +84,14 @@ class SimulatedDevice:
     def model(self, bucket: int, task: str) -> None:
         return None
 
-    def label(self, model: None, scene: SceneRef, ext: TileExtent, ledger: ReadLedger) -> Mask:
-        self._read(scene, ext, ledger, STAGE_INFER)
-        return Mask(w=ext.w, h=ext.h, labels=np.zeros((ext.h, ext.w), dtype=np.uint8))
+    def label(
+        self, model: None, scene: SceneRef, exts: list[TileExtent], ledger: ReadLedger
+    ) -> list[Mask]:
+        masks = []
+        for ext in exts:
+            self._read(scene, ext, ledger, STAGE_INFER)
+            masks.append(Mask(w=ext.w, h=ext.h, labels=np.zeros((ext.h, ext.w), dtype=np.uint8)))
+        return masks
 
 
 def make_virtual_scenes(
@@ -107,6 +112,7 @@ def make_virtual_scenes(
             bands=bands,
             dtype=dtype,
             gsd_m=gsd_m,
+            data_offset=0,
         )
         for i in range(count)
     ]

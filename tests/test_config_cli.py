@@ -443,6 +443,23 @@ def test_workspace_path_with_space(tmp_path):
     assert len((ws / "bench.csv").read_text().splitlines()) == 2
 
 
+def test_manifest_path_with_space(tmp_path):
+    # the manifest names its scene by an absolute path through a directory
+    # whose name has a space; the truth mask stays in the workspace
+    ws = tmp_path / "ws"
+    assert small_cli("synth", ws) == 0
+    elsewhere = tmp_path / "sp ace"
+    elsewhere.mkdir()
+    (ws / "scenes" / "scene000.rsr").rename(elsewhere / "scene000.rsr")
+    (ws / "scenes" / "manifest.txt").write_text(f"scene000 {elsewhere / 'scene000.rsr'}\n")
+    for command in ("partition", "train", "infer"):
+        assert small_cli(command, ws) == 0, command
+    assert read_mask(ws / "infer" / "scene000.mask.rsr").labels.any()
+    with ImageGallery(ws / "partition" / "image_gallery.igal") as gallery:
+        paths = {r.storage_path for b in range(6) for r in gallery.query_by_bucket(b)}
+    assert paths == {str(elsewhere / "scene000.rsr")}
+
+
 class TestBenchCommand:
     def test_csv_shape_and_arithmetic(self, trained_workspace, tmp_path):
         out = tmp_path / "bench.csv"

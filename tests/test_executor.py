@@ -1,5 +1,6 @@
 import math
 import statistics
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 from resflow import executor
 from resflow.config import ConfigError, RunConfig
-from resflow.embedding import extract_features, fit_clusters
+from resflow.embedding import GROUP_PIXELS, extract_features, fit_clusters
 from resflow.executor import (
     PipelineAssets,
     PipelineError,
@@ -17,7 +18,7 @@ from resflow.executor import (
 )
 from resflow.gallery import ImageGallery, ModelGallery, ModelRecord
 from resflow.hashing import bucket_centroids, encode_many, fit_hash
-from resflow.models import save_model, train_bucket_model
+from resflow.models import LinearPixelModel, save_model, train_bucket_model
 from resflow.pool import DevicePool, audit_events, parse_event_line
 from resflow.raster import (
     Mask,
@@ -190,6 +191,23 @@ class TestRunPipelineReal:
         assert per_scene == {scene.scene_id: math.ceil(4 / 3) for scene in scenes}
         assert set(out.metrics.reads_per_scene.values()) == {2.0}
 
+    def test_one_scoring_call_per_stage_b_group(self, tmp_path, real_setup, monkeypatch):
+        hash_fn, table, registry, scenes = real_setup
+        calls = log_infer_calls(monkeypatch)
+        out = run_once(tmp_path, hash_fn, table, registry, scenes, workers=1)
+        # 64 px tiles, far below GROUP_PIXELS: one group, and one call, per
+        # stage-B chunk of at most 3 tiles of one scene and bucket
+        scene_ids = [{t.extent.scene_id for t in tiles} for _model, tiles in calls]
+        assert all(len(ids) == 1 for ids in scene_ids)
+        per_scene_model = Counter((ids.pop(), id(model)) for ids, (model, _) in zip(scene_ids, calls))
+        tiles = Counter(
+            (scene.scene_id, bucket)
+            for scene in scenes
+            for bucket in out.masks[scene.scene_id].provenance.values()
+        )
+        assert sorted(per_scene_model.values()) == sorted(math.ceil(n / 3) for n in tiles.values())
+        assert set(out.metrics.reads_per_scene.values()) == {2.0}
+
     def test_schedule_independence(self, tmp_path, real_setup):
         hash_fn, table, registry, scenes = real_setup
         reference = run_once(
@@ -244,6 +262,100 @@ class TestRunPipelineReal:
         assert m.area_sqkm == pytest.approx(sum(scene_area_sqkm(s) for s in merged))
 
 
+def log_infer_calls(monkeypatch) -> list:
+    """Patch ``LinearPixelModel.infer`` to append (model, tiles) to the returned list per call."""
+    calls = []
+    infer = LinearPixelModel.infer
+
+    def logged(model, tiles):
+        calls.append((model, tiles))
+        return infer(model, tiles)
+
+    monkeypatch.setattr(LinearPixelModel, "infer", logged)
+    return calls
+
+
+def random_model(rng, bands, scale):
+    """A model whose scores straddle 0 on pixels drawn from 0..``scale``."""
+    d = 2 * bands
+    return LinearPixelModel(
+        weights=rng.normal(size=d),
+        bias=0.0,
+        mu=np.full(d, scale / 2),
+        sigma=np.full(d, scale / 4),
+        bands=bands,
+    )
+
+
+def write_random_scene(path, rng, w, h, bands, dtype):
+    if dtype is np.float32:
+        pixels = (rng.random((h, w, bands)) * 255).astype(dtype)
+    else:
+        pixels = rng.integers(0, 256, size=(h, w, bands)).astype(dtype)
+    return write_scene(path, pixels, 0.5, "s")
+
+
+class TestLabel:
+    """``PipelineAssets.label``, which uses only the model it is given."""
+
+    device = PipelineAssets(hash_fn=None, centroids=None, model_gallery=None)
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.float32])
+    @pytest.mark.parametrize("bands", [1, 3])
+    def test_chunk_masks_equal_per_tile_masks(self, tmp_path, monkeypatch, bands, dtype):
+        rng = np.random.default_rng(bands)
+        scene = write_random_scene(tmp_path / "s.rsr", rng, 100, 70, bands, dtype)
+        model = random_model(rng, bands, 255)
+        # 32 px tiles: 32x32 interior, 4x32 right, 32x6 bottom and 4x6 corner
+        exts = tile_extents(scene, 32)
+        calls = log_infer_calls(monkeypatch)
+        ledger = ReadLedger()
+        masks = self.device.label(model, scene, exts, ledger)
+        # each run of one shape in plan order is one group
+        assert [len(tiles) for _model, tiles in calls] == [3, 1, 3, 1, 3, 1]
+        assert ledger.count("s", executor.STAGE_INFER) == len(exts)
+        assert len(masks) == len(exts)
+        ones = 0
+        for ext, mask in zip(exts, masks):
+            alone = model.infer([read_window(scene, ext, ReadLedger(), "x")])[0]
+            assert (mask.w, mask.h) == (ext.w, ext.h)
+            assert mask.labels.tobytes() == alone.labels.tobytes()
+            ones += int(mask.labels.sum())
+        assert 0 < ones < 100 * 70
+
+    def test_groups_hold_at_most_group_pixels(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(7)
+        scene = write_random_scene(tmp_path / "s.rsr", rng, 320, 224, 1, np.uint8)
+        calls = log_infer_calls(monkeypatch)
+        masks = self.device.label(random_model(rng, 1, 255), scene, tile_extents(scene, 32), ReadLedger())
+        assert GROUP_PIXELS == 64 * 32 * 32
+        assert [len(tiles) for _model, tiles in calls] == [64, 6]
+        assert len(masks) == 70
+
+    def test_chunk_of_large_tiles_is_read_one_group_at_a_time(self, tmp_path):
+        # numpy reports its data buffers to tracemalloc. 256-px tiles fill a
+        # group each, so a chunk is read, scored and let go tile by tile, and
+        # labelling it peaks below holding its 12 windows at once.
+        rng = np.random.default_rng(8)
+        scene = write_random_scene(tmp_path / "s.rsr", rng, 1024, 768, 3, np.float32)
+        exts = tile_extents(scene, 256)
+        model = random_model(rng, 3, 255)
+        assert len(exts) == 12
+        self.device.label(model, scene, exts[:1], ReadLedger())
+        tracemalloc.start()
+        try:
+            windows = [read_window(scene, ext, ReadLedger(), "x") for ext in exts]
+            _, read_peak = tracemalloc.get_traced_memory()
+            del windows
+            tracemalloc.reset_peak()
+            masks = self.device.label(model, scene, exts, ReadLedger())
+            _, label_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(masks) == 12
+        assert label_peak < read_peak, f"labelling peaked at {label_peak} bytes, reading at {read_peak}"
+
+
 class TestRunPipelineSimulate:
     def test_metrics_and_masks(self):
         scenes = make_virtual_scenes(2, 256, 256)
@@ -294,11 +406,14 @@ class FailingDevice(SimulatedDevice):
         self.bad = bad
         self.labelled: list[TileExtent] = []
 
-    def label(self, model, scene, ext, ledger):
-        self.labelled.append(ext)
-        if ext == self.bad:
-            raise RuntimeError("label failed")
-        return super().label(model, scene, ext, ledger)
+    def label(self, model, scene, exts, ledger):
+        masks = []
+        for ext in exts:
+            self.labelled.append(ext)
+            if ext == self.bad:
+                raise RuntimeError("label failed")
+            masks += super().label(model, scene, [ext], ledger)
+        return masks
 
 
 class TestAbortOnError:

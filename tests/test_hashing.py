@@ -356,6 +356,13 @@ class TestAssign:
         table = CentroidTable(codes={0: BinaryCode(0b0011, 4), 1: BinaryCode(0b1100, 4)})
         # 0b0110 is distance 2 from both
         assert assign_bucket(BinaryCode(0b0110, 4), table) == 0
+        reversed_table = CentroidTable(codes={1: BinaryCode(0b1100, 4), 0: BinaryCode(0b0011, 4)})
+        assert assign_bucket(BinaryCode(0b0110, 4), reversed_table) == 0
+
+    def test_width_mismatch(self):
+        table = CentroidTable(codes={0: BinaryCode(0, 8), 1: BinaryCode(0xFF, 8)})
+        with pytest.raises(HashError, match="width mismatch"):
+            assign_bucket(BinaryCode(0, 4), table)
 
     def test_exhaustive_width4_vs_oracle(self):
         table = CentroidTable(codes={0: BinaryCode(0b0000, 4), 1: BinaryCode(0b1111, 4)})

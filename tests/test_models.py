@@ -131,7 +131,7 @@ class TestTraining:
         for samples in (separable_samples(), far_outlier_samples()):
             model = train_bucket_model(samples)
             for tile, truth in samples:
-                assert np.array_equal(model.infer(tile).labels, truth.labels)
+                assert np.array_equal(model.infer([tile])[0].labels, truth.labels)
 
     @pytest.mark.parametrize("label", [0, 1])
     def test_one_class_labels_give_a_constant_model(self, label):
@@ -144,7 +144,7 @@ class TestTraining:
         assert np.array_equal(model.sigma, planes.std(axis=1))
         for tile, truth in samples:
             assert np.array_equal(model.scores(tile.pixels), np.full(24 * 24, model.bias))
-            assert np.array_equal(model.infer(tile).labels, truth.labels)
+            assert np.array_equal(model.infer([tile])[0].labels, truth.labels)
 
     def test_duplicated_set_trains_same_model(self):
         samples = separable_samples(n_tiles=3, seed=1)
@@ -262,7 +262,7 @@ class TestExactness:
             assert scores.shape == (h * w,)
             assert np.abs(scores - expected).max() <= tol
             tile = make_tile(pixels)
-            labels = model.infer(tile).labels
+            labels = model.infer([tile])[0].labels
             assert labels.dtype == np.uint8
             assert np.array_equal(labels.ravel()[clear], (expected > 0)[clear])
             assert tile.pixels.tobytes() == before.tobytes(), "infer changed the tile's pixels"
@@ -278,7 +278,7 @@ class TestExactness:
             for _ in range(8 if px == 32 else 2):
                 tile, _ = texture_tile(rng, sig, px)
                 expected = reference_decision(model, reference_pixel_features(tile.pixels)) > 0
-                differ += int(np.count_nonzero(model.infer(tile).labels.ravel() != expected))
+                differ += int(np.count_nonzero(model.infer([tile])[0].labels.ravel() != expected))
         assert differ == 0
 
 
@@ -288,12 +288,12 @@ class TestMemory:
         # temporary in the scoring kernel shows up in the traced peak.
         model = train_bucket_model(separable_samples(seed=26))
         tile = make_tile(np.random.default_rng(27).integers(0, 256, size=(256, 256, 3), dtype=np.uint8))
-        model.infer(tile)
+        model.infer([tile])
         n = 256 * 256
         budget = 6 * n * 8 + n  # six f64 values per pixel, u8 labels
         tracemalloc.start()
         try:
-            model.infer(tile)
+            model.infer([tile])
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -304,22 +304,55 @@ class TestInference:
     def test_background_tile_all_zero(self):
         model = train_bucket_model(separable_samples(seed=4))
         low = make_tile(np.full((10, 10, 3), 80, dtype=np.uint8))
-        assert (model.infer(low).labels == 0).all()
+        assert (model.infer([low])[0].labels == 0).all()
 
     def test_same_tile_same_mask(self):
         model = train_bucket_model(separable_samples(seed=5))
         tile = separable_samples(n_tiles=1, seed=6)[0][0]
-        assert np.array_equal(model.infer(tile).labels, model.infer(tile).labels)
+        assert np.array_equal(model.infer([tile])[0].labels, model.infer([tile])[0].labels)
 
     def test_one_pixel_tile(self):
         model = train_bucket_model(separable_samples(seed=7))
-        mask = model.infer(make_tile(np.full((1, 1, 3), 200, dtype=np.uint8)))
+        mask = model.infer([make_tile(np.full((1, 1, 3), 200, dtype=np.uint8))])[0]
         assert (mask.h, mask.w) == (1, 1)
 
     def test_band_mismatch(self):
         model = train_bucket_model(separable_samples(seed=8))
-        with pytest.raises(ModelError):
-            model.infer(make_tile(np.zeros((4, 4), dtype=np.uint8)))
+        with pytest.raises(ModelError, match="bands"):
+            model.infer([make_tile(np.zeros((4, 4), dtype=np.uint8))])
+        with pytest.raises(ModelError, match="bands"):
+            model.infer([make_tile(np.zeros((4, 4), dtype=np.uint8)) for _ in range(3)])
+
+    @pytest.mark.parametrize(
+        "shapes",
+        [[], [(4, 4, 3), (4, 5, 3)], [(4, 4, 3), (5, 4, 3)], [(4, 4, 3), (4, 4, 3), (4, 4, 1)]],
+        ids=["none", "width", "height", "bands"],
+    )
+    def test_mixed_shapes_raise(self, shapes):
+        model = train_bucket_model(separable_samples(seed=8))
+        with pytest.raises(ModelError, match="one shape"):
+            model.infer([make_tile(np.zeros(shape, dtype=np.uint8)) for shape in shapes])
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.float32])
+    @pytest.mark.parametrize("bands", [1, 3])
+    def test_group_masks_equal_per_tile_masks(self, bands, dtype):
+        rng = np.random.default_rng(40 + bands)
+        model = train_bucket_model(separable_samples(seed=41, bands=bands))
+        ones = pixels = 0
+        for h, w, n in [(1, 1, 5), (32, 32, 64), (6, 4, 3), (17, 23, 7), (256, 256, 2)]:
+            tiles = [make_tile(random_pixels(rng, (h, w, bands), dtype), x0=i) for i in range(n)]
+            group = model.infer(tiles)
+            stacked = model.scores(np.stack([tile.pixels for tile in tiles])).reshape(n, h * w)
+            assert len(group) == n
+            for tile, mask, scores in zip(tiles, group, stacked):
+                alone = model.infer([tile])[0]
+                assert (mask.w, mask.h) == (w, h)
+                assert mask.labels.tobytes() == alone.labels.tobytes()
+                if h * w > 1:  # see LinearPixelModel.scores on one-pixel tiles
+                    assert scores.tobytes() == model.scores(tile.pixels).tobytes()
+                ones += int(mask.labels.sum())
+                pixels += mask.labels.size
+        assert 0 < ones < pixels
 
 
 class TestSegMetrics:
@@ -403,7 +436,7 @@ class TestArtifacts:
         save_model(tmp_path / "m.lpm1", model)
         back = load_model(tmp_path / "m.lpm1")
         tile = separable_samples(n_tiles=1, seed=13)[0][0]
-        assert np.array_equal(model.infer(tile).labels, back.infer(tile).labels)
+        assert np.array_equal(model.infer([tile])[0].labels, back.infer([tile])[0].labels)
 
     def test_bad_magic(self, tmp_path):
         (tmp_path / "m.lpm1").write_bytes(b"XXXX")

@@ -132,7 +132,7 @@ class TestReadWindow:
         rng = np.random.default_rng(5)
         pixels = rng.integers(0, 65535, size=(8, 7, 2), dtype=np.uint16)
         ref = write_scene(tmp_path / "s.rsr", pixels, 0.5)
-        calls = {"open": 0, "pread": 0}
+        calls = {"builtin open": 0, "os.open": 0, "os.pread": 0, "os.close": 0}
 
         def counting(name, fn):
             def wrapped(*args, **kwargs):
@@ -141,11 +141,21 @@ class TestReadWindow:
 
             return wrapped
 
-        monkeypatch.setattr(raster, "open", counting("open", open), raising=False)
-        monkeypatch.setattr(os, "pread", counting("pread", os.pread))
+        monkeypatch.setattr(raster, "open", counting("builtin open", open), raising=False)
+        for name in ("open", "pread", "close"):
+            monkeypatch.setattr(os, name, counting(f"os.{name}", getattr(os, name)))
         tile = read_window(ref, TileExtent("s", x0, y0, w, h), ReadLedger(), "embed")
-        assert calls == {"open": 1, "pread": 1}
+        assert calls == {"builtin open": 0, "os.open": 1, "os.pread": 1, "os.close": 1}
         assert np.array_equal(tile.pixels, pixels[y0 : y0 + h, x0 : x0 + w])
+
+    @pytest.mark.parametrize("gsd", [0.5, 0.1 + 0.2, 1 / 3, 12345.678901234567])
+    def test_data_offset_is_where_the_pixels_start(self, tmp_path, gsd):
+        pixels = np.arange(5 * 6 * 2, dtype=np.uint16).reshape(5, 6, 2)
+        path = tmp_path / "s.rsr"
+        written = write_scene(path, pixels, gsd)
+        loaded = load_scene_header(path)
+        assert written.data_offset == loaded.data_offset == path.stat().st_size - written.nbytes
+        assert written == loaded
 
 
 def write_random_scene(path, rng, dtype, w, h, bands, nan=False):
@@ -239,11 +249,11 @@ class TestCutFile:
 
 class TestTileExtents:
     def test_exact_division(self):
-        scene = SceneRef("s", "p", 100, 100, 1, "u8", 0.5)
+        scene = SceneRef("s", "p", 100, 100, 1, "u8", 0.5, 0)
         assert len(tile_extents(scene, 50)) == 4
 
     def test_clamped_edges(self):
-        scene = SceneRef("s", "p", 100, 100, 1, "u8", 0.5)
+        scene = SceneRef("s", "p", 100, 100, 1, "u8", 0.5, 0)
         exts = tile_extents(scene, 40)
         assert len(exts) == 9
         assert exts[-1] == TileExtent("s", 80, 80, 20, 20)
@@ -252,13 +262,13 @@ class TestTileExtents:
 
     def test_full_scale_grid(self):
         # 40000x35000 at 500 px tiles is an 80x70 grid
-        scene = SceneRef("s", "p", 40000, 35000, 3, "u8", 0.5)
+        scene = SceneRef("s", "p", 40000, 35000, 3, "u8", 0.5, 0)
         exts = tile_extents(scene, 500)
         assert len(exts) == 5600
         assert sum(e.w * e.h for e in exts) == 40000 * 35000
 
     def test_coverage_and_disjointness(self):
-        scene = SceneRef("s", "p", 101, 67, 1, "u8", 0.5)
+        scene = SceneRef("s", "p", 101, 67, 1, "u8", 0.5, 0)
         for tile_px in (1, 7, 33, 101, 500):
             exts = tile_extents(scene, tile_px)
             assert sum(e.w * e.h for e in exts) == 101 * 67
@@ -268,12 +278,12 @@ class TestTileExtents:
             assert (cover == 1).all()
 
     def test_bad_args(self):
-        scene = SceneRef("s", "p", 10, 10, 1, "u8", 0.5)
+        scene = SceneRef("s", "p", 10, 10, 1, "u8", 0.5, 0)
         with pytest.raises(RasterError):
             tile_extents(scene, 0)
 
     def test_deterministic(self):
-        scene = SceneRef("s", "p", 333, 222, 1, "u8", 0.5)
+        scene = SceneRef("s", "p", 333, 222, 1, "u8", 0.5, 0)
         assert tile_extents(scene, 50) == tile_extents(scene, 50)
 
 
@@ -339,14 +349,14 @@ class TestMerge:
 
 class TestAreaAndMaskIO:
     def test_area_small(self):
-        assert scene_area_sqkm(SceneRef("s", "p", 1000, 1000, 1, "u8", 0.5)) == 0.25
+        assert scene_area_sqkm(SceneRef("s", "p", 1000, 1000, 1, "u8", 0.5, 0)) == 0.25
 
     def test_area_full_scale(self):
-        assert scene_area_sqkm(SceneRef("s", "p", 40000, 35000, 3, "u8", 0.5)) == 350.0
+        assert scene_area_sqkm(SceneRef("s", "p", 40000, 35000, 3, "u8", 0.5, 0)) == 350.0
 
     def test_zero_area_forbidden(self):
         with pytest.raises(RasterFormatError):
-            SceneRef("s", "p", 0, 1000, 1, "u8", 0.5)
+            SceneRef("s", "p", 0, 1000, 1, "u8", 0.5, 0)
 
     def test_mask_container_round_trip(self, tmp_path):
         rng = np.random.default_rng(5)
